@@ -2,8 +2,8 @@
 
 Usage, from the repository root:
 
-    python3 bench/run.py --workload plane-map --seed 1 --seconds 40 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 40 --trace 1
+    python3 bench/run.py --workload plane-map --seed 1 --seconds 38 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 38 --trace 1
 
 A run generates one pass of jobs from the seed (see workloads.py), then
 repeats the pass in this one process, one job at a time, until the
@@ -60,7 +60,7 @@ SRC = ROOT / "src"
 RUN_DIR = ROOT / ".bench_run"
 
 #: Set-up repetitions per run; setup_s is their median.
-SETUP_REPS = 7
+SETUP_REPS = 9
 
 
 def _spec() -> dict:
@@ -148,17 +148,24 @@ def corruption_detected(job) -> bool:
     return True
 
 
+#: Run in a fresh interpreter: prints how long importing the program takes,
+#: leaving out interpreter start-up, which is not the program's cost.
+IMPORT_TIMER = ("import time; t0 = time.perf_counter(); import spinscape.cli; "
+                "print(time.perf_counter() - t0)")
+
+
 def setup(make_pass, seed: int, work: Path):
     """Time a fresh import of the program plus seeded input generation."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     times = []
     for rep in range(SETUP_REPS):
         rep_dir = work / f"setup{rep}"
+        child = subprocess.run([sys.executable, "-c", IMPORT_TIMER], env=env, check=True,
+                               capture_output=True, text=True)
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import spinscape.cli"], env=env, check=True)
         rep_dir.mkdir()
         jobs = make_pass(random.Random(seed), rep_dir)
-        times.append(time.perf_counter() - t0)
+        times.append(float(child.stdout) + time.perf_counter() - t0)
     return _median(times), jobs
 
 
@@ -272,7 +279,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> None:
         else:
             # each job's median over passes, then the median over the
             # pass's jobs: a plain median of all job times would sit on
-            # the edge between two jobs of different cost
+            # the edge between two jobs of different cost. With one job
+            # per pass (plane-map) this equals wall_s, and with two it is
+            # the mean of the two jobs' medians.
             per_job = [_median([p.job_s[i] for p in plain]) for i in range(len(jobs))]
             metrics = {
                 "setup_s": setup_s,

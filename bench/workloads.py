@@ -3,32 +3,35 @@
 Each workload turns a seed into one *pass*, a fixed list of
 ``spinscape.cli.main`` argument vectors plus any compound files they
 read, and knows how to check what every job wrote. The program sees
-only those arguments and files. The seed changes parameters, windows
-and catalog picks, never the amount of work, so runs on different
-seeds measure the same thing.
+only those arguments and files. The seed changes only inputs that
+leave the amount of work unchanged, so runs on different seeds measure
+the same thing; ``prove.py --traced`` checks that the work counts are
+equal on every seed.
 
 Why each workload exists, and which layer it isolates:
 
 ``plane-map``
     CLI ``separatrix --axes bz,bx`` on the ``3-trigonal`` Fe4 entry, a
-    20x16 grid on an origin-centred window (acceptance-8 / demo-02
-    scale). The landscape kernel and edge refinement do all the work:
-    about three quarters of the ~1250 landscape calls are Maxwell
-    bisections to 1e-8 of the range, and no spectrum is computed.
-    ``3-trigonal`` is the one Fe4 entry whose Maxwell lines are tilted
-    (b43 != 0). On the other Fe4 entries an origin-centred window puts
-    the Maxwell line exactly on bz = 0, where refinement stops at the
-    first midpoint, and the job's cost then steps with the window
-    (996 or 1236 landscape calls for windows 5% smaller or larger),
-    so runs on different seeds would measure different amounts of work.
+    20x16 grid on the fixed origin-centred window bz +-0.3, bx +-1.0
+    (acceptance-8 / demo-02 scale), read from a compound file whose b43
+    sign the seed picks: a mirror image in bx, with the same work. The
+    landscape kernel and edge refinement do all the work: about three
+    quarters of the ~1260 landscape calls are Maxwell bisections to
+    1e-8 of the range, and no spectrum is computed. ``3-trigonal`` is
+    the one Fe4 entry whose Maxwell lines are tilted (b43 != 0). On the
+    other Fe4 entries an origin-centred window puts the Maxwell line
+    exactly on bz = 0, where refinement stops at the first midpoint.
     Check: the refined points map onto themselves under
     (bz, bx) -> (-bz, -bx); ``sym_err`` is in grid cells.
 
 ``spectrum-sweep``
     CLI ``spectrum`` with its ``.crossings`` sidecar, 1001 points over a
-    symmetric bz window at fixed bx != 0, for one catalog spin of
-    2S = 20 (Fe8 ``i`` or Mn12 ``ii``) and one seeded compound file of
-    2S = 60. The same layers as plane-map are used differently:
+    symmetric bz window at fixed bx != 0, for the catalog Mn12 ``ii``
+    (2S = 20) and one compound file of 2S = 60 whose e and fourth-order
+    terms the seed sets. A seeded catalog pick (Fe8 ``i`` or Mn12) or a
+    seeded d would change the sampling step, and with it the
+    refinement count, so neither is used. The same layers as plane-map
+    are used differently:
     ``sweep_crossings`` refines coarsely, so its node scan makes up
     ~95% of the landscape calls; ``eigh`` is LAPACK-bound at dimension
     61; the writers emit the widest tables (62 columns).
@@ -57,8 +60,6 @@ from typing import Callable
 
 import checks
 
-G = 2.0
-
 
 @dataclass(frozen=True)
 class Job:
@@ -77,51 +78,76 @@ class Workload:
     make_pass: Callable[[random.Random, Path], list[Job]]
 
 
+# The generators import spinscape inside the function: run.py puts this
+# checkout's src/ on the path only after importing this module.
+
+
 def _window(flag: str, half: float) -> str:
     return f"--{flag}={-half!r}:{half!r}"
 
 
 def _plane_map(rng: random.Random, work: Path) -> list[Job]:
+    from dataclasses import replace
+
+    from spinscape.compounds import dump_compound, lookup
+
+    # The seed only picks the sign of b43. A pi rotation about z maps
+    # (bx, b43) -> (-bx, -b43), so either sign maps the same curves onto
+    # the same grid mirrored in bx, and the work is the same; any change
+    # of the window or of the other parameters moves the curves across
+    # grid edges and changes the number of refined events.
+    trigonal = lookup("3-trigonal")
+    sign = rng.choice((1.0, -1.0))
+    compound = replace(trigonal, id=f"3-trigonal{'+' if sign > 0 else '-'}",
+                       aniso=replace(trigonal.aniso, b43=sign * trigonal.aniso.b43))
+    path = work / "trigonal.txt"
+    path.write_text(dump_compound(compound), encoding="utf-8")
     out = work / "plane.csv"
-    jitter = rng.uniform(0.9, 1.1)
-    argv = ("separatrix", "--compound", "3-trigonal", "--axes", "bz,bx",
-            _window("bz-range", 0.3 * jitter), _window("bx-range", 1.0 * rng.uniform(0.9, 1.1)),
+    argv = ("separatrix", "--compound-file", str(path), "--axes", "bz,bx",
+            _window("bz-range", 0.3), _window("bx-range", 1.0),
             "--grid", "20x16", "--out", str(out))
     return [Job(argv, (out,), lambda: checks.check_plane(out))]
 
 
 def _anisotropy_field(two_s: int, d: float, e: float) -> float:
     """Rough axial switching field of the reduced potential, in kelvin."""
-    return (two_s - 1) * abs(d - e) / G
+    from spinscape.spin import G_FACTOR
+
+    return (two_s - 1) * abs(d - e) / G_FACTOR
 
 
-def _spectrum_job(source: tuple[str, ...], hk: float, rng: random.Random, out: Path) -> Job:
-    # bx = 0.2..0.4 hk keeps both bifurcations inside a window of
-    # 0.7..0.9 hk, with the Maxwell point at bz = 0 between them.
+def _spectrum_job(source: tuple[str, ...], hk: float, out: Path) -> Job:
+    # bx = 0.3 hk puts both bifurcations near +-0.4 hk, inside a window
+    # of +-0.8 hk, with the Maxwell point at bz = 0 between them. The
+    # window is not seeded: sweep_crossings bisects to an absolute
+    # tolerance, so its refinement count follows the sampling step.
     sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
-    argv = ("spectrum", *source, _window("bz-range", hk * rng.uniform(0.7, 0.9)),
-            "--bx", repr(hk * rng.uniform(0.2, 0.4)), "--grid", "1001", "--out", str(out))
+    argv = ("spectrum", *source, _window("bz-range", 0.8 * hk), "--bx", repr(0.3 * hk),
+            "--grid", "1001", "--out", str(out))
     return Job(argv, (out, sidecar), lambda: checks.check_spectrum(out, sidecar))
 
 
 def _spectrum_sweep(rng: random.Random, work: Path) -> list[Job]:
-    fe8_mn12 = {"i": (-0.292, 0.046), "ii": (-0.676, 0.0)}
-    cid = rng.choice(sorted(fe8_mn12))
-    d, e = fe8_mn12[cid]
-    catalog_job = _spectrum_job(("--compound", cid), _anisotropy_field(20, d, e), rng,
-                                work / "levels20.csv")
+    from spinscape.compounds import lookup
 
-    # b43 stays 0: it is the one term that breaks the bz mirror.
-    d, e = -rng.uniform(0.25, 0.4), rng.uniform(0.0, 0.05)
+    mn12 = lookup("ii")
+    catalog_job = _spectrum_job(
+        ("--compound", mn12.id),
+        _anisotropy_field(mn12.system.two_s, mn12.aniso.d, mn12.aniso.e), work / "levels20.csv")
+
+    # The seed sets the small terms only: d, and with it the window,
+    # stays fixed. b43 stays 0: it is the one term that breaks the bz
+    # mirror.
+    d = -0.3
     path = work / "spin60.txt"
     path.write_text(
         "# generated by the benchmark\n"
-        f"id = seeded-60\ntwo_s = 60\nd = {d!r}\ne = {e!r}\n"
+        f"id = seeded-60\ntwo_s = 60\nd = {d!r}\ne = {rng.uniform(0.0, 0.02)!r}\n"
         f"b40 = {rng.uniform(0.5e-6, 2e-6)!r}\nb42 = {rng.uniform(-1e-6, 1e-6)!r}\n"
         f"b44 = {rng.uniform(-2e-6, 2e-6)!r}\n",
         encoding="utf-8",
     )
-    file_job = _spectrum_job(("--compound-file", str(path)), _anisotropy_field(60, d, e), rng,
+    file_job = _spectrum_job(("--compound-file", str(path)), _anisotropy_field(60, d, 0.0),
                              work / "levels60.csv")
     return [catalog_job, file_job]
 
