@@ -37,7 +37,7 @@ from .compounds import Compound, catalog, dump_compound, load_compound, lookup
 from .eig import ConvergenceError, eigh
 from .landscape import ReducedParams, potential_reduced, reduce_params
 from .observables import fidelity_map, heatcap_map
-from .separatrix import PlaneSpec, classify_cell_edges, sweep_crossings
+from .separatrix import PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
 from .spin import (
     G_FACTOR,
     MU_B_OVER_KB,
@@ -52,8 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_AXIS_ALIASES = {"bz": "r2", "bx": "r1"}
-_R_NAMES = ("r1", "r2", "r3", "r4", "r5")
 #: range flag that feeds each canonical axis
 _RANGE_FLAG = {"r1": "bx_range", "r2": "bz_range", "r3": "r3_range", "r4": "r4_range", "r5": "r5_range"}
 
@@ -110,9 +108,7 @@ def _parse_r_params(text: str) -> dict[str, float]:
         key, sep, value = chunk.partition("=")
         if not sep:
             raise CliError(f"--r-params entries look like key=value, got {chunk!r}")
-        name = _AXIS_ALIASES.get(key.strip(), key.strip())
-        if name not in _R_NAMES:
-            raise CliError(f"--r-params: unknown parameter {key.strip()!r}")
+        name = _canonical_axis(key.strip())
         if name in out:
             raise CliError(f"--r-params sets {name} twice")
         try:
@@ -303,12 +299,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
     names = [part.strip() for part in args.axes.split(",")]
     if len(names) != 2:
         raise CliError(f"--axes expects two comma-separated names, got {args.axes!r}")
-    canon = []
-    for name in names:
-        axis = _AXIS_ALIASES.get(name, name)
-        if axis not in _R_NAMES:
-            raise CliError(f"--axes: unknown axis {name!r}")
-        canon.append(axis)
+    canon = [_canonical_axis(name) for name in names]
     unit = _field_unit(args)
     ranges = []
     for name, axis in zip(names, canon):

@@ -483,23 +483,20 @@ def _polish_root(
     return 0.5 * (lo + hi)
 
 
-def critical_points(
+def _branch_points(
     rp: ReducedParams,
-    branch: int = 1,
-    *,
-    g: float = G_FACTOR,
-    samples: int = SCAN_SAMPLES,
+    branch: int,
+    g: float,
+    samples: int,
+    owned_only: bool,
 ) -> list[CriticalPoint]:
-    """All stationary angles of one branch over [0, 2*pi).
+    """Stationary points of one branch, found by a dense scan of V'.
 
-    A dense scan of the analytic derivative brackets every sign change;
-    each bracket is polished by guarded Newton iteration and the result
-    is classified by the analytic second derivative. Stationary points
-    whose curvature is below resolution are labelled inflections, which
-    the separatrix machinery treats as proximity-to-bifurcation flags.
-
-    Returns an empty list only for the flat (all parameters negligible)
-    potential, which callers should treat as degenerate.
+    With owned_only, only brackets within two samples of the angles the
+    branch contributes to ``landscape`` are polished: [0, pi] and the
+    band just below 2*pi for phi = 0, (0, pi) for phi = pi. Roots two
+    brackets apart are a whole sample apart, so the margin leaves every
+    merge decision inside the owned angles as in the full scan.
     """
     b = _check_branch(branch)
     scale = parameter_scale(rp)
@@ -515,19 +512,24 @@ def critical_points(
         return []
 
     two_pi = 2.0 * math.pi
-    roots: list[float] = []
-    for i in range(samples):
-        a = d1[i]
-        if a == 0.0:
-            roots.append(float(thetas[i]))
-            continue
-        j = i + 1
-        hi = float(thetas[j]) if j < samples else two_pi
-        bb = d1[j] if j < samples else d1[0]
-        if bb == 0.0:
-            continue  # the node itself is appended on its own turn
-        if (a > 0.0) != (bb > 0.0):
-            roots.append(_polish_root(float(thetas[i]), hi, coef, tol_root))
+    # A sample where d1 == 0 is a root in its own right; a bracket
+    # [thetas[i], thetas[i+1]) with a zero end is skipped because that
+    # node is recorded on its own. The last bracket wraps to 2*pi.
+    nxt = np.roll(d1, -1)
+    zero = d1 == 0.0
+    bracket = ~zero & (nxt != 0.0) & ((d1 > 0.0) != (nxt > 0.0))
+    if owned_only:
+        margin = 2.0 * two_pi / samples
+        near = thetas <= math.pi + margin
+        if b > 0.0:
+            near |= thetas >= two_pi - margin
+        zero &= near
+        bracket &= near
+
+    roots = [float(thetas[i]) for i in np.flatnonzero(zero)]
+    for i in np.flatnonzero(bracket):
+        hi = float(thetas[i + 1]) if i + 1 < samples else two_pi
+        roots.append(_polish_root(float(thetas[i]), hi, coef, tol_root))
 
     roots = [r % two_pi for r in roots]
     roots.sort()
@@ -553,6 +555,27 @@ def critical_points(
     return points
 
 
+def critical_points(
+    rp: ReducedParams,
+    branch: int = 1,
+    *,
+    g: float = G_FACTOR,
+    samples: int = SCAN_SAMPLES,
+) -> list[CriticalPoint]:
+    """All stationary angles of one branch over [0, 2*pi).
+
+    A dense scan of the analytic derivative brackets every sign change;
+    each bracket is polished by guarded Newton iteration and the result
+    is classified by the analytic second derivative. Stationary points
+    whose curvature is below resolution are labelled inflections, which
+    the separatrix machinery treats as proximity-to-bifurcation flags.
+
+    Returns an empty list only for the flat (all parameters negligible)
+    potential, which callers should treat as degenerate.
+    """
+    return _branch_points(rp, branch, g, samples, owned_only=False)
+
+
 #: Tolerance factor for calling two minima degenerate in a landscape.
 _TIE_FACTOR = 1e-9
 
@@ -563,10 +586,11 @@ def landscape(rp: ReducedParams, *, g: float = G_FACTOR) -> LandscapeReport:
     The phi = 0 branch owns theta in [0, pi] (poles included) and the
     phi = pi branch owns the open interval, mirrored onto (pi, 2*pi).
     Together they cover the full great circle through the easy axis
-    exactly once.
+    exactly once. Each branch polishes only the roots it owns; the
+    other half of its circle belongs to the mirror branch.
     """
-    plus = critical_points(rp, 1, g=g)
-    minus = critical_points(rp, -1, g=g)
+    plus = _branch_points(rp, 1, g, SCAN_SAMPLES, owned_only=True)
+    minus = _branch_points(rp, -1, g, SCAN_SAMPLES, owned_only=True)
     scale = parameter_scale(rp)
 
     if not plus and not minus:

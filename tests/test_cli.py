@@ -249,6 +249,18 @@ def test_separatrix_window(tmp_path):
     assert "maxwell_minima" in kinds
 
 
+def test_separatrix_unknown_axis_exits_2(tmp_path, capsys):
+    out = tmp_path / "sep.csv"
+    code = cli.main([
+        "separatrix", "--axes", "bz,r9",
+        "--r-params", "r3=-0.679",
+        "--bz-range=-0.8:0.8", "--grid", "16", "--out", str(out),
+    ])
+    assert code == 2
+    assert "'r9'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tesla_rescales_fields(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

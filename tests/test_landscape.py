@@ -1,6 +1,8 @@
 """Coherent-state energy surfaces and the reduced in-plane potential."""
 
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,11 @@ from spinscape import (
     potential_reduced_d2,
     reduce_params,
 )
+from spinscape.spin import G_FACTOR
+
+# ``spinscape.landscape`` is the function; the module holds the private
+# scan helpers the reference below reuses.
+_ls = importlib.import_module("spinscape.landscape")
 
 
 def _random_setup(rng, two_s=None):
@@ -270,3 +277,161 @@ def test_reduced_params_validation():
 def test_parameter_scale_floor():
     rp = ReducedParams(0, 0, -1e-8, 0, 0, SpinSystem(10))
     assert parameter_scale(rp) == 25.0  # floor of 1 kelvin times S^2
+
+
+# Reference kernel: the per-sample bracket loop and the "two full
+# branches, then merge" landscape that the vectorised, owned-only scan
+# replaced. Kept as an oracle the way coherent_expectation is kept; the
+# arithmetic is unchanged, so results must agree with ==.
+
+
+def _reference_critical_points(rp, branch):
+    b = _ls._check_branch(branch)
+    g = G_FACTOR
+    samples = _ls.SCAN_SAMPLES
+    scale = parameter_scale(rp)
+    tol_root = 1e-12 * scale
+    tol_flat = 1e-9 * scale
+
+    thetas, s1, c1, s2, c2, s4, c4 = _ls._trig_table(samples)
+    coef = _ls._d1_coefficients(rp, b, g)
+    c_s1, c_c1, c_s2, c_c2mc4, c_s4 = coef
+    d1 = c_s1 * s1 + c_c1 * c1 + c_s2 * s2 + c_c2mc4 * (c2 - c4) + c_s4 * s4
+
+    if float(np.max(np.abs(d1))) <= 1e-12 * scale:
+        return []
+
+    two_pi = 2.0 * math.pi
+    roots = []
+    for i in range(samples):
+        a = d1[i]
+        if a == 0.0:
+            roots.append(float(thetas[i]))
+            continue
+        j = i + 1
+        hi = float(thetas[j]) if j < samples else two_pi
+        bb = d1[j] if j < samples else d1[0]
+        if bb == 0.0:
+            continue  # the node itself is appended on its own turn
+        if (a > 0.0) != (bb > 0.0):
+            roots.append(_ls._polish_root(float(thetas[i]), hi, coef, tol_root))
+
+    roots = [r % two_pi for r in roots]
+    roots.sort()
+    merged = []
+    for r in roots:
+        if merged and r - merged[-1] < _ls.MERGE_TOL:
+            continue
+        merged.append(r)
+    if len(merged) > 1 and (two_pi - merged[-1] + merged[0]) < _ls.MERGE_TOL:
+        merged.pop()
+
+    points = []
+    for r in merged:
+        curvature = _ls._d2_scalar(r, coef)
+        if curvature > tol_flat:
+            kind = "minimum"
+        elif curvature < -tol_flat:
+            kind = "maximum"
+        else:
+            kind = "inflection"
+        value = float(potential_reduced(r, rp, branch, g=g))
+        points.append(_ls.CriticalPoint(theta=r, value=value, kind=kind, second_derivative=curvature))
+    return points
+
+
+def _reference_landscape(rp, plus, minus):
+    """Merge both full-circle branch scans of rp into one report."""
+    if not plus and not minus:
+        return _ls.LandscapeReport(
+            points=(), n_minima=0, n_maxima=0, global_minimum=None, tie=False, degenerate=True,
+        )
+    two_pi = 2.0 * math.pi
+    pole = _ls._POLE_TOL
+    merged = [p for p in plus if p.theta <= math.pi + pole or p.theta >= two_pi - pole]
+    merged += [replace(q, theta=two_pi - q.theta) for q in minus if pole < q.theta < math.pi - pole]
+    merged.sort(key=lambda p: p.theta % two_pi)
+    minima = [p for p in merged if p.kind == "minimum"]
+    maxima = [p for p in merged if p.kind == "maximum"]
+    global_minimum = None
+    tie = False
+    if minima:
+        global_minimum = min(minima, key=lambda p: p.value)
+        tie_tol = _ls._TIE_FACTOR * parameter_scale(rp)
+        tie = sum(1 for p in minima if p.value - global_minimum.value <= tie_tol) >= 2
+    return _ls.LandscapeReport(
+        points=tuple(merged), n_minima=len(minima), n_maxima=len(maxima),
+        global_minimum=global_minimum, tie=tie, degenerate=False,
+    )
+
+
+def _assert_matches_reference(rp):
+    plus, minus = (_reference_critical_points(rp, branch) for branch in (1, -1))
+    assert critical_points(rp, 1) == plus
+    assert critical_points(rp, -1) == minus
+    assert landscape(rp) == _reference_landscape(rp, plus, minus)
+
+
+def test_scan_matches_reference_loop_on_random_params():
+    rng = np.random.default_rng(1234)
+    for two_s in (4, 10, 20, 60):
+        for _ in range(80):
+            on = rng.uniform(size=5) < 0.8  # switch terms off so special cases show up
+            rp = ReducedParams(
+                r1=rng.normal() * on[0], r2=rng.normal() * on[1], r3=rng.normal() * on[2],
+                r4=rng.normal() * 1e-2 * on[3], r5=rng.normal() * 1e-2 * on[4],
+                system=SpinSystem(two_s),
+            )
+            _assert_matches_reference(rp)
+
+
+@pytest.mark.parametrize("r3, r4, node", [
+    # pure quadratic: V' vanishes exactly at the theta = 0 sample
+    (-1.0, 0.0, 0.0),
+    # -2 quad r3 = -8 quart r4 exactly, so V' = c (2 sin 2t + sin 4t)
+    # vanishes exactly at the pi/2 sample and is positive on the sample
+    # before it: the bracket ending on that node must be skipped
+    (-7.0 / 32.0, -1.0 / 64.0, math.pi / 2.0),
+])
+def test_scan_root_on_a_sample_node(r3, r4, node):
+    rp = ReducedParams(r1=0.0, r2=0.0, r3=r3, r4=r4, r5=0.0, system=SpinSystem(10))
+    assert any(p.theta == node for p in critical_points(rp, 1))
+    _assert_matches_reference(rp)
+
+
+@pytest.mark.parametrize("offset", [math.pi / _ls.SCAN_SAMPLES, 0.5 * _ls._POLE_TOL])
+def test_scan_root_in_the_wraparound_bracket(offset):
+    # V' = zee (r2 sin + r1 cos) vanishes at 2*pi - atan(r1 / r2), inside
+    # the bracket [thetas[-1], 2*pi): half a sample before 2*pi, or so
+    # close to it that only the phi = 0 branch keeps the root
+    rp = ReducedParams(
+        r1=math.tan(offset), r2=1.0, r3=0.0, r4=0.0, r5=0.0, system=SpinSystem(10),
+    )
+    last = 2.0 * math.pi * (1.0 - 1.0 / _ls.SCAN_SAMPLES)
+    assert any(last < p.theta < 2.0 * math.pi for p in critical_points(rp, 1))
+    _assert_matches_reference(rp)
+
+
+def test_scan_flat_potential_matches_reference():
+    rp = ReducedParams(r1=0.0, r2=0.0, r3=0.0, r4=0.0, r5=0.0, system=SpinSystem(10))
+    assert critical_points(rp, 1) == []
+    _assert_matches_reference(rp)
+
+
+@pytest.mark.parametrize("r3, r4", [(0.5, 0.0), (-0.5, 0.05)])
+def test_mirrored_minima_have_bit_equal_values(r3, r4):
+    # With r1 = r5 = 0 the potential is even in theta, so the two
+    # branches give mirror-image minima whose values must tie exactly;
+    # test_easy_plane_regime_stays_quiet in test_separatrix.py relies on
+    # this. A one-branch kernel evaluates each mirror point separately
+    # and breaks the tie in the last bits. For r3 < 0 a large r4 pushes
+    # the minima off the poles.
+    rp = ReducedParams(r1=0.0, r2=0.2, r3=r3, r4=r4, r5=0.0, system=SpinSystem(10))
+    report = landscape(rp)
+    minima = {p.theta: p for p in report.minima()}
+    upper = [p for p in minima.values() if 0.0 < p.theta < math.pi]
+    assert upper and 2 * len(upper) == len(minima)
+    for p in upper:
+        mirror = minima[2.0 * math.pi - p.theta]
+        assert mirror.value == p.value
+    assert report.tie
