@@ -24,7 +24,7 @@ bz = np.linspace(-0.4, 0.6, 401)
 temps = (0.02, 0.05, 0.1, 0.25)
 
 columns = ["bz"] + [f"c_t{t}" for t in temps]
-scans = [heat_capacity_scan(compound.system, compound.aniso, bz, t, bx=bx) for t in temps]
+scans = heat_capacity_scan(compound.system, compound.aniso, bz, temps, bx=bx)
 rows = [
     [float(z)] + [float(s[i]) for s in scans]
     for i, z in enumerate(bz)

@@ -34,17 +34,14 @@ import numpy as np
 
 from . import __version__
 from .compounds import Compound, catalog, dump_compound, load_compound, lookup
-from .eig import ConvergenceError, eigh
+from .eig import ConvergenceError
 from .landscape import ReducedParams, potential_reduced, reduce_params
-from .observables import fidelity_map, heatcap_map
+from .observables import fidelity_map, heatcap_map, spectra
 from .separatrix import PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
 from .spin import (
-    G_FACTOR,
     MU_B_OVER_KB,
-    AnisotropyParams,
     FieldVector,
     SpinSystem,
-    build_hamiltonian,
 )
 from . import writers
 
@@ -95,8 +92,10 @@ def _parse_temps(text: str) -> tuple[float, ...]:
         temps = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"--temps: {exc}") from None
-    if not temps or any(not t > 0.0 for t in temps):
-        raise CliError(f"--temps needs positive values, got {text!r}")
+    if not temps or any(not 0.0 < t < np.inf for t in temps):
+        raise CliError(f"--temps needs positive finite values, got {text!r}")
+    if len(set(temps)) != len(temps):
+        raise CliError(f"--temps lists a temperature twice, got {text!r}")
     return temps
 
 
@@ -225,10 +224,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
     dim = system.dim
-    rows = []
-    for z in bz_values:
-        spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=bx, by=by, bz=float(z))))
-        rows.append([float(z)] + [float(v) for v in spec.eigenvalues])
+    levels, _ = spectra(system, aniso, bx, by, bz_values)
+    rows = np.column_stack([bz_values, levels]).tolist()
 
     settings = _compound_settings(compound) + [
         ("bx", repr(bx)),
@@ -361,11 +358,7 @@ def _grid_axes(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, dict[s
 
 
 def _map_rows(bz: np.ndarray, bx: np.ndarray, values: np.ndarray) -> list[list[float]]:
-    rows = []
-    for j in range(bx.size):
-        for i in range(bz.size):
-            rows.append([float(bz[i]), float(bx[j]), float(values[i, j])])
-    return rows
+    return np.column_stack([np.tile(bz, bx.size), np.repeat(bx, bz.size), values.T.ravel()]).tolist()
 
 
 def _cmd_fidelity_map(args: argparse.Namespace) -> int:
@@ -409,8 +402,8 @@ def _cmd_heatcap_map(args: argparse.Namespace) -> int:
     temps = _parse_temps(args.temps)
     by = args.by * unit
 
-    for t in temps:
-        values = heatcap_map(compound.system, compound.aniso, bz, bx, t, by=by)
+    maps = heatcap_map(compound.system, compound.aniso, bz, bx, temps, by=by)
+    for t, values in zip(temps, maps):
         if len(temps) == 1:
             path = out
         else:

@@ -34,10 +34,6 @@ class Spectrum:
     eigenvectors: npt.NDArray[np.complex128]
 
 
-def _hermiticity_defect(h: np.ndarray) -> float:
-    return float(np.max(np.abs(h - h.conj().T)))
-
-
 def eigh(h: npt.NDArray[np.complex128]) -> Spectrum:
     """Diagonalize a Hermitian matrix.
 
@@ -52,20 +48,29 @@ def eigh(h: npt.NDArray[np.complex128]) -> Spectrum:
             within 1e-12 * (1 + max|h_ij|).
         ConvergenceError: if LAPACK does not converge.
     """
+    if np.ndim(h) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(h)}")
+    return Spectrum(*eigh_stack(h))
+
+
+def eigh_stack(h: npt.ArrayLike) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128]]:
+    """:func:`eigh` on every slice of a stack shaped (..., n, n), with the
+    same checks and results; returns (w, v) shaped (..., n), (..., n, n)."""
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
+    n = h.shape[-1]
     if n < 1 or n > MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
-    defect = _hermiticity_defect(h)
-    if defect > 1e-12 * scale:
+    tol = 1e-12 * (1.0 + np.max(np.abs(h), axis=(-2, -1)))
+    defect = np.max(np.abs(h - h.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    if np.any(defect > tol):
+        i = np.argmax(defect - tol)
         raise ValueError(
-            f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e} "
-            f"exceeds tolerance {1e-12 * scale:.3e}"
+            f"matrix is not Hermitian: max |h - h^dagger| = {defect.flat[i]:.3e} "
+            f"exceeds tolerance {tol.flat[i]:.3e}"
         )
 
     try:
@@ -77,15 +82,12 @@ def eigh(h: npt.NDArray[np.complex128]) -> Spectrum:
 
     # Fix each eigenvector's global phase: rotate so the component of
     # largest magnitude is real and positive. argmax takes the first
-    # maximum, which settles ties by lowest index.
-    v = v.copy()
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            v[:, j] *= pivot.conjugate() / mag
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    # maximum, which settles ties by lowest index; columns have unit norm,
+    # so the pivot is nonzero. np.hypot rounds like abs() of a complex
+    # scalar, where np.abs of a complex array differs in the last bit.
+    k = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, k, axis=-2)
+    return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def ground_state(

@@ -35,7 +35,6 @@ from typing import Literal
 import numpy as np
 import numpy.typing as npt
 
-from .eig import eigh
 from .spin import (
     G_FACTOR,
     AnisotropyParams,

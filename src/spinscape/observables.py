@@ -17,15 +17,13 @@ level so nothing overflows no matter how cold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .eig import Spectrum, eigh
-from .spin import G_FACTOR, AnisotropyParams, FieldVector, SpinSystem, build_hamiltonian
-
-_FIELD_AXES = ("bx", "by", "bz")
+from .eig import Spectrum, eigh_stack
+from .spin import G_FACTOR, AnisotropyParams, FieldVector, SpinSystem, build_hamiltonians
 
 
 @dataclass(frozen=True)
@@ -61,14 +59,37 @@ class ThermoPoint:
     shift: float
 
 
-def _ground_vector(
+#: Bytes of Hamiltonians per stack in :func:`spectra`. One stack for a
+#: 1001-point sweep at 2S = 60 would hold ~60 MB of H and as much again of
+#: eigenvectors, and a stack's temporaries take about five times its H;
+#: 256 KiB (4 matrices at dimension 61, 135 at 11) keeps peak memory
+#: within ~2 MB of one matrix at a time and runs as fast as 1 MiB.
+_STACK_BYTES = 1 << 18
+
+
+def spectra(
     system: SpinSystem,
     aniso: AnisotropyParams,
-    field: FieldVector,
-    g: float,
-) -> npt.NDArray[np.complex128]:
-    spec = eigh(build_hamiltonian(system, aniso, field, g=g))
-    return spec.eigenvectors[:, 0]
+    bx: npt.ArrayLike,
+    by: npt.ArrayLike,
+    bz: npt.ArrayLike,
+    *,
+    g: float = G_FACTOR,
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128]]:
+    """Levels and ground vector at every point of a broadcast field grid,
+    each shaped (..., 2S+1) and equal to ``eigh(build_hamiltonian(...))``
+    at that point alone."""
+    bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
+    n, dim = bx.size, system.dim
+    levels = np.empty((n, dim))
+    ground = np.empty((n, dim), dtype=np.complex128)
+    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        h = build_hamiltonians(system, aniso, bx.flat[part], by.flat[part], bz.flat[part], g=g)
+        levels[part], v = eigh_stack(h)
+        ground[part] = v[..., 0]
+    return levels.reshape(bx.shape + (dim,)), ground.reshape(bx.shape + (dim,))
 
 
 def fidelity(
@@ -87,14 +108,8 @@ def fidelity(
     for a smoothly varying ground state and F plunges toward 0 across a
     level crossing.
     """
-    if axis not in _FIELD_AXES:
-        raise ValueError(f"axis must be one of {_FIELD_AXES}, got {axis!r}")
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError(f"increment d must be positive and finite, got {d!r}")
-    center = getattr(field, axis)
-    v_minus = _ground_vector(system, aniso, replace(field, **{axis: center - d}), g)
-    v_plus = _ground_vector(system, aniso, replace(field, **{axis: center + d}), g)
-    return float(abs(np.vdot(v_minus, v_plus)) ** 2)
+    fmap = fidelity_map(system, aniso, field.bz, field.bx, by=field.by, axis=axis, d=d, g=g)
+    return float(fmap.values[0, 0])
 
 
 def fidelity_map(
@@ -110,19 +125,36 @@ def fidelity_map(
 ) -> FidelityMap:
     """Fidelity on every node of a (bz, bx) grid.
 
-    Spectra are recomputed point by point; rows and columns are emitted
-    in grid order so repeated runs are identical.
+    Both ground states of every node come from one :func:`spectra` call;
+    rows and columns are emitted in grid order.
     """
     bz = np.atleast_1d(np.asarray(bz_values, dtype=float))
     bx = np.atleast_1d(np.asarray(bx_values, dtype=float))
-    out = np.empty((bz.size, bx.size))
-    for j, x in enumerate(bx):
-        for i, z in enumerate(bz):
-            out[i, j] = fidelity(
-                system, aniso, FieldVector(bx=float(x), by=by, bz=float(z)),
-                axis=axis, d=d, g=g,
-            )
-    return FidelityMap(bz_values=bz, bx_values=bx, values=out, d=d, axis=axis)
+    fields = {"bx": bx[None, :], "by": by, "bz": bz[:, None]}
+    if axis not in fields:
+        raise ValueError(f"axis must be one of {tuple(fields)}, got {axis!r}")
+    if not (d > 0.0 and math.isfinite(d)):
+        raise ValueError(f"increment d must be positive and finite, got {d!r}")
+    fields[axis] = fields[axis] + np.array([-d, d])[:, None, None]
+    _, ground = spectra(system, aniso, fields["bx"], fields["by"], fields["bz"], g=g)
+    # np.vdot runs BLAS's strided dot on strided vectors, such as eigh's
+    # columns, and sums contiguous ones in another order: keep a stride.
+    cols = np.ascontiguousarray(np.moveaxis(ground.reshape(2, -1, system.dim), -1, 0))
+    out = np.array([abs(np.vdot(cols[:, 0, i], cols[:, 1, i])) ** 2 for i in range(cols.shape[2])])
+    return FidelityMap(bz_values=bz, bx_values=bx, values=out.reshape(bz.size, bx.size), d=d, axis=axis)
+
+
+def _moments(levels: npt.NDArray[np.float64], t: float) -> tuple[npt.NDArray[np.float64], ...]:
+    """(e0, z, mean, var) of the levels shifted by their minimum e0, over the last axis."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"temperature must be positive and finite, got {t!r}")
+    e0 = np.min(levels, axis=-1)
+    shifted = levels - e0[..., None]
+    weights = np.exp(-shifted / t)
+    z = np.sum(weights, axis=-1)
+    mean = np.sum(shifted * weights, axis=-1) / z
+    var = np.sum(weights * (shifted - mean[..., None]) ** 2, axis=-1) / z
+    return e0, z, mean, var
 
 
 def thermo(spectrum: Spectrum | npt.ArrayLike, t: float) -> ThermoPoint:
@@ -133,17 +165,10 @@ def thermo(spectrum: Spectrum | npt.ArrayLike, t: float) -> ThermoPoint:
     weights never overflow; the heat capacity is the variance of the
     shifted levels over t^2, which is manifestly non-negative.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"temperature must be positive and finite, got {t!r}")
     levels = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("expected a one-dimensional, non-empty array of levels")
-    e0 = float(np.min(levels))
-    shifted = levels - e0
-    weights = np.exp(-shifted / t)
-    z = float(np.sum(weights))
-    mean = float(np.sum(shifted * weights) / z)
-    var = float(np.sum(weights * (shifted - mean) ** 2) / z)
+    e0, z, mean, var = (float(x) for x in _moments(levels, t))
     f = e0 - t * math.log(z)
     s = mean / t + math.log(z)
     c = var / t**2
@@ -154,19 +179,14 @@ def heat_capacity_scan(
     system: SpinSystem,
     aniso: AnisotropyParams,
     bz_values: npt.ArrayLike,
-    t: float,
+    t: float | npt.ArrayLike,
     *,
     bx: float = 0.0,
     by: float = 0.0,
     g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64]:
-    """Heat capacity along a bz scan at fixed transverse field."""
-    bz = np.atleast_1d(np.asarray(bz_values, dtype=float))
-    out = np.empty(bz.size)
-    for i, z in enumerate(bz):
-        spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=bx, by=by, bz=float(z)), g=g))
-        out[i] = thermo(spec, t).c
-    return out
+    """Heat capacity along a bz scan at fixed transverse field: one column of :func:`heatcap_map`."""
+    return heatcap_map(system, aniso, bz_values, bx, t, by=by, g=g)[..., 0]
 
 
 def heatcap_map(
@@ -174,21 +194,19 @@ def heatcap_map(
     aniso: AnisotropyParams,
     bz_values: npt.ArrayLike,
     bx_values: npt.ArrayLike,
-    t: float,
+    t: float | npt.ArrayLike,
     *,
     by: float = 0.0,
     g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64]:
     """Heat capacity on every node of a (bz, bx) grid at temperature t.
 
-    Returns an array shaped (len(bz), len(bx)), diagonalizing once per
-    node.
+    Returns an array shaped (len(bz), len(bx)), or one such map per entry
+    of a 1-D array t; each node is diagonalized once for all of them.
     """
+    temps = np.asarray(t, dtype=float)
     bz = np.atleast_1d(np.asarray(bz_values, dtype=float))
     bx = np.atleast_1d(np.asarray(bx_values, dtype=float))
-    out = np.empty((bz.size, bx.size))
-    for j, x in enumerate(bx):
-        for i, z in enumerate(bz):
-            spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=float(x), by=by, bz=float(z)), g=g))
-            out[i, j] = thermo(spec, t).c
-    return out
+    levels, _ = spectra(system, aniso, bx[None, :], by, bz[:, None], g=g)
+    maps = [_moments(levels, tk)[3] / tk**2 for tk in temps.ravel().tolist()]
+    return np.reshape(maps, temps.shape + levels.shape[:-1])

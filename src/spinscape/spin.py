@@ -166,8 +166,11 @@ def stevens_o4(system: SpinSystem, k: int) -> npt.NDArray[np.float64]:
     """
     if k not in STEVENS_RANKS:
         raise ValueError(f"unsupported rank-4 operator index k={k}; expected one of {STEVENS_RANKS}")
+    return _stevens_o4(system, spin_matrices(system) if k else None, k)
 
-    mats = spin_matrices(system)
+
+def _stevens_o4(system: SpinSystem, mats: SpinMatrices | None, k: int) -> npt.NDArray[np.float64]:
+    """O_4^k from prebuilt spin matrices; k = 0 is diagonal and needs none."""
     c = system.casimir()  # S(S+1)
     dim = system.dim
 
@@ -212,6 +215,22 @@ def build_hamiltonian(
     Every term is Hermitian by construction in floating point, so the
     returned matrix satisfies H == H^dagger exactly.
     """
+    return build_hamiltonians(system, aniso, field.bx, field.by, field.bz, g=g)
+
+
+def build_hamiltonians(
+    system: SpinSystem,
+    aniso: AnisotropyParams,
+    bx: npt.ArrayLike,
+    by: npt.ArrayLike,
+    bz: npt.ArrayLike,
+    *,
+    g: float = G_FACTOR,
+) -> npt.NDArray[np.complex128]:
+    """:func:`build_hamiltonian` over the broadcast shape of the field
+    components, shaped (..., 2S+1, 2S+1); each matrix is the same to the
+    last bit whatever stack it is built in."""
+    bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     mats = spin_matrices(system)
     dim = system.dim
 
@@ -219,21 +238,16 @@ def build_hamiltonian(
     y = (mats.plus - mats.minus) / 2.0  # Sy = -i * y
     sy2 = -(y @ y)
 
-    real = np.zeros((dim, dim))
+    real = np.zeros(bx.shape + (dim, dim))
     real += aniso.d * mats.sz @ mats.sz
     real += aniso.e * (sx2 - sy2)
-    real += g * field.bx * mats.sx
-    real += g * field.bz * mats.sz
-    if aniso.b40:
-        real += aniso.b40 * stevens_o4(system, 0)
-    if aniso.b42:
-        real += aniso.b42 * stevens_o4(system, 2)
-    if aniso.b43:
-        real += aniso.b43 * stevens_o4(system, 3)
-    if aniso.b44:
-        real += aniso.b44 * stevens_o4(system, 4)
+    real += (g * bx)[..., None, None] * mats.sx
+    real += (g * bz)[..., None, None] * mats.sz
+    for k, coeff in zip(STEVENS_RANKS, (aniso.b40, aniso.b42, aniso.b43, aniso.b44)):
+        if coeff:
+            real += coeff * _stevens_o4(system, mats, k)
 
     h = real.astype(np.complex128)
-    if field.by:
-        h += (g * field.by) * mats.sy
+    if np.any(by):
+        h += (g * by)[..., None, None] * mats.sy
     return h

@@ -179,7 +179,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     def explode(h):
         raise ConvergenceError("synthetic non-convergence")
 
-    monkeypatch.setattr(cli, "eigh", explode)
+    monkeypatch.setattr(np.linalg, "eigh", explode)
     code = cli.main([
         "spectrum", "--compound", "3", "--bz-range", "0:1",
         "--grid", "4", "--out", str(tmp_path / "x.csv"),
@@ -291,3 +291,38 @@ def test_plot_script_sidecar(tmp_path):
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+def test_heatcap_map_diagonalises_each_node_once(tmp_path, monkeypatch):
+    base = [
+        "heatcap-map", "--compound", "3-trigonal",
+        "--bz-range=-0.1:0.4", "--bx-range", "2.2:2.21", "--grid", "4x2",
+    ]
+    temps = ("0.05", "0.1", "0.7")
+    for t in temps:
+        assert cli.main(base + ["--temps", t, "--out", str(tmp_path / f"single-{t}.csv")]) == 0
+
+    matrices = []
+    original = np.linalg.eigh
+
+    def counting(h):
+        matrices.append(int(np.prod(h.shape[:-2])))
+        return original(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert cli.main(base + ["--temps", ",".join(temps), "--out", str(tmp_path / "c.csv")]) == 0
+    assert sum(matrices) == 8
+    for t in temps:
+        multi = (tmp_path / f"c-T{float(t)!r}.csv").read_bytes()
+        assert multi == (tmp_path / f"single-{t}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("temps", ["0.05,inf", "0.05,0.050"])
+def test_heatcap_map_bad_temps_write_nothing(tmp_path, temps):
+    code = cli.main([
+        "heatcap-map", "--compound", "3-trigonal",
+        "--bz-range=-0.1:0.4", "--bx-range", "2.2:2.21", "--grid", "4x2",
+        "--temps", temps, "--out", str(tmp_path / "c.csv"),
+    ])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

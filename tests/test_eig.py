@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinscape import eigh, ground_state
-from spinscape.eig import MAX_DIM
+from spinscape.eig import MAX_DIM, eigh_stack
 
 
 def _random_hermitian(rng, n):
@@ -101,3 +101,73 @@ def test_ground_state():
     assert abs(abs(vec[1]) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         ground_state(eigh(np.array([[1.0 + 0j]])))
+
+
+def _degenerate_hermitian(rng, levels):
+    # a random unitary mixes every degenerate subspace
+    n = len(levels)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(levels, dtype=float)) @ q.conj().T
+
+
+def test_stack_slices_equal_eigh():
+    rng = np.random.default_rng(2718)
+    stacks = [
+        np.stack([_random_hermitian(rng, 9) for _ in range(6)]).reshape(2, 3, 9, 9),
+        np.stack([_degenerate_hermitian(rng, [1.0, 1.0, 1.0, 5.0]),
+                  np.diag([2.0, 2.0, -1.0, -1.0]).astype(complex),
+                  _random_hermitian(rng, 4)]),
+    ]
+    for h in stacks:
+        h = (h + h.conj().swapaxes(-2, -1)) / 2.0  # exactly Hermitian
+        w, v = eigh_stack(h)
+        assert w.shape == h.shape[:-1] and v.shape == h.shape
+        for idx in np.ndindex(h.shape[:-2]):
+            spec = eigh(h[idx])
+            assert np.array_equal(w[idx], spec.eigenvalues)
+            assert np.array_equal(v[idx], spec.eigenvectors)
+
+
+def test_stack_rejects_one_bad_slice():
+    rng = np.random.default_rng(17)
+    h = np.stack([_random_hermitian(rng, 6) for _ in range(4)])
+    eigh_stack(h)
+
+    skew = h.copy()
+    skew[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh_stack(skew)
+
+    inf = h.copy()
+    inf[3, 4, 4] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        eigh_stack(inf)
+
+    # the tolerance belongs to each slice: a large neighbour does not
+    # widen it, and a large slice keeps its own wider one
+    big = h.copy()
+    big[0] *= 1e8
+    big[0, 0, 1] += 1e-6
+    eigh_stack(big)
+    big[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh_stack(big)
+
+
+def _per_column_reference(h):
+    """The phase rule applied one eigenvector at a time, with scalar abs()."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    for j in range(v.shape[1]):
+        pivot = v[int(np.argmax(np.abs(v[:, j]))), j]
+        v[:, j] *= pivot.conjugate() / abs(pivot)
+    return w, v
+
+
+def test_phase_rule_matches_per_column_reference():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 11, 21, 61):
+        for h in (_random_hermitian(rng, n), np.diag(np.round(rng.normal(size=n))).astype(complex)):
+            w, v = _per_column_reference(h)
+            spec = eigh(h)
+            assert np.array_equal(spec.eigenvalues, w)
+            assert np.array_equal(spec.eigenvectors, v)

@@ -18,6 +18,8 @@ from spinscape import (
     lookup,
     thermo,
 )
+from spinscape import observables
+from spinscape.observables import spectra
 
 
 def test_two_level_schottky_closed_form():
@@ -154,3 +156,70 @@ def test_heat_capacity_scan_matches_map_column():
     assert grid.shape == (8, 1)
     assert np.array_equal(scan, grid[:, 0])
     assert np.all(scan >= 0.0)
+
+
+def test_spectra_sweep_longer_than_one_stack_equals_pointwise(monkeypatch):
+    system = SpinSystem(60)
+    aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b44=-1e-6)
+    bz = np.linspace(-3.0, 3.0, 41)
+    stack_bytes = []
+    original = observables.eigh_stack
+
+    def recording(h):
+        stack_bytes.append(h.nbytes)
+        return original(h)
+
+    monkeypatch.setattr(observables, "eigh_stack", recording)
+    levels, ground = spectra(system, aniso, 0.9, 0.0, bz)
+    assert len(stack_bytes) > 1
+    assert max(stack_bytes) <= observables._STACK_BYTES
+    assert levels.shape == (41, 61) and ground.shape == (41, 61)
+    for i, z in enumerate(bz):
+        spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=0.9, bz=float(z))))
+        assert np.array_equal(levels[i], spec.eigenvalues)
+        assert np.array_equal(ground[i], spec.eigenvectors[:, 0])
+
+
+def test_spectra_grid_with_by_equals_pointwise():
+    c = lookup("3-trigonal")
+    bz = np.array([-0.2, 0.0, 0.14])[:, None]
+    bx = np.array([0.0, 2.2])
+    by = np.array([[0.0], [0.3], [-1.1]])
+    levels, ground = spectra(c.system, c.aniso, bx, by, bz)
+    assert levels.shape == (3, 2, 11)
+    for i in range(3):
+        for j in range(2):
+            field = FieldVector(bx=bx[j], by=by[i, 0], bz=bz[i, 0])
+            spec = eigh(build_hamiltonian(c.system, c.aniso, field))
+            assert np.array_equal(levels[i, j], spec.eigenvalues)
+            assert np.array_equal(ground[i, j], spec.eigenvectors[:, 0])
+
+
+def test_heatcap_map_temperature_array_equals_scalar_calls():
+    c = lookup("3-trigonal")
+    bz = np.linspace(-0.2, 0.5, 5)
+    bx = np.array([2.2, 2.21])
+    temps = np.array([0.05, 0.2, 1.5])
+    maps = heatcap_map(c.system, c.aniso, bz, bx, temps)
+    assert maps.shape == (3, 5, 2)
+    assert np.array_equal(maps, np.stack([heatcap_map(c.system, c.aniso, bz, bx, t) for t in temps]))
+    scans = heat_capacity_scan(c.system, c.aniso, bz, temps, bx=2.21)
+    assert np.array_equal(scans, maps[:, :, 1])
+    with pytest.raises(ValueError):
+        heatcap_map(c.system, c.aniso, bz, bx, np.array([0.05, np.inf]))
+
+
+def test_fidelity_map_every_axis_matches_column_overlaps():
+    c = lookup("3-trigonal")
+    bz = np.array([0.0, 0.14, 0.3])
+    bx = np.array([1.0, 2.205])
+    for axis in ("bx", "by", "bz"):
+        m = fidelity_map(c.system, c.aniso, bz, bx, by=0.2, axis=axis, d=0.01)
+        for i, z in enumerate(bz):
+            for j, x in enumerate(bx):
+                center = {"bx": float(x), "by": 0.2, "bz": float(z)}
+                cols = []
+                for shift in (-0.01, 0.01):
+                    field = FieldVector(**{**center, axis: center[axis] + shift})
+                    cols.append(eigh(build_hamiltonian(c.system, c.aniso, field)).eigenvectors[:, 0])
+                assert m.values[i, j] == abs(np.vdot(*cols)) ** 2

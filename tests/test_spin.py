@@ -10,9 +10,11 @@ from spinscape import (
     FieldVector,
     SpinSystem,
     build_hamiltonian,
+    spin,
     spin_matrices,
     stevens_o4,
 )
+from spinscape.spin import build_hamiltonians
 
 
 def test_spin_half_is_pauli_over_two():
@@ -171,3 +173,56 @@ def test_parameter_validation():
         AnisotropyParams(b43=float("inf"))
     with pytest.raises(ValueError):
         FieldVector(bx=float("nan"))
+
+
+def _term_by_term_reference(system, aniso, field, g=2.0):
+    """One matrix, summed in the documented order: quadratic, field, quartic."""
+    mats = spin_matrices(system)
+    y = (mats.plus - mats.minus) / 2.0
+    sy2 = -(y @ y)
+    real = np.zeros((system.dim, system.dim))
+    real += aniso.d * mats.sz @ mats.sz
+    real += aniso.e * (mats.sx @ mats.sx - sy2)
+    real += g * field.bx * mats.sx
+    real += g * field.bz * mats.sz
+    for k, coeff in ((0, aniso.b40), (2, aniso.b42), (3, aniso.b43), (4, aniso.b44)):
+        if coeff:
+            real += coeff * stevens_o4(system, k)
+    h = real.astype(complex)
+    if field.by:
+        h += (g * field.by) * mats.sy
+    return h
+
+
+def test_hamiltonian_stack_equals_single_builds():
+    rng = np.random.default_rng(23)
+    for two_s in (1, 10, 19, 60):
+        sys = SpinSystem(two_s)
+        aniso = AnisotropyParams(d=-0.6, e=0.04, b40=2e-5, b42=-1e-5, b43=0.01, b44=3e-5)
+        bz = rng.normal(size=(4, 1))
+        bx = rng.normal(size=3)
+        by = np.array([0.0, 0.7, 0.0])  # zero and nonzero in one stack
+        h = build_hamiltonians(sys, aniso, bx, by, bz)
+        assert h.shape == (4, 3, sys.dim, sys.dim)
+        for i in range(4):
+            for j in range(3):
+                field = FieldVector(bx=bx[j], by=by[j], bz=bz[i, 0])
+                assert np.array_equal(h[i, j], build_hamiltonian(sys, aniso, field))
+                assert np.array_equal(h[i, j], _term_by_term_reference(sys, aniso, field))
+
+
+def test_spin_matrices_built_once_per_assembly(monkeypatch):
+    calls = []
+    original = spin.spin_matrices
+
+    def counting(system):
+        calls.append(system.two_s)
+        return original(system)
+
+    monkeypatch.setattr(spin, "spin_matrices", counting)
+    aniso = AnisotropyParams(d=-0.6, e=0.04, b40=2e-5, b42=-1e-5, b43=0.01, b44=3e-5)
+    build_hamiltonians(SpinSystem(10), aniso, np.zeros(5), 0.0, np.linspace(0.0, 1.0, 5))
+    assert calls == [10]
+    calls.clear()
+    stevens_o4(SpinSystem(10), 0)
+    assert calls == []
