@@ -14,13 +14,12 @@ import numpy as np
 
 from spinscape import (
     FieldVector,
-    build_hamiltonian,
-    eigh,
     lookup,
     reduce_params,
     sweep_crossings,
     writers,
 )
+from spinscape.observables import spectra
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -30,10 +29,8 @@ system, aniso = compound.system, compound.aniso
 print(f"compound {compound.id}: 2S={system.two_s}, d={aniso.d} K, b43={aniso.b43} K")
 
 bz = np.linspace(-4.0, 4.0, 401)
-rows = []
-for z in bz:
-    spec = eigh(build_hamiltonian(system, aniso, FieldVector(bz=float(z))))
-    rows.append([float(z)] + [float(v) for v in spec.eigenvalues])
+levels, _ = spectra(system, aniso, 0.0, 0.0, bz, vectors=False)
+rows = np.column_stack([bz, levels]).tolist()
 
 levels_path = out_dir / "spectrum.csv"
 writers.write_csv(
@@ -68,10 +65,9 @@ try:
 except ImportError:
     print("matplotlib not installed, skipping the png")
 else:
-    arr = np.array(rows)
     fig, ax = plt.subplots(figsize=(7, 4.5))
     for i in range(system.dim):
-        ax.plot(arr[:, 0], arr[:, 1 + i], lw=0.8, color="tab:blue")
+        ax.plot(bz, levels[:, i], lw=0.8, color="tab:blue")
     for v in res.bifurcation_values:
         ax.axvline(v, color="tab:red", ls="--", lw=0.8)
     for v in res.maxwell_values:

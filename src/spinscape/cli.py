@@ -224,7 +224,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
     dim = system.dim
-    levels, _ = spectra(system, aniso, bx, by, bz_values)
+    levels, _ = spectra(system, aniso, bx, by, bz_values, vectors=False)
     rows = np.column_stack([bz_values, levels]).tolist()
 
     settings = _compound_settings(compound) + [

@@ -59,11 +59,15 @@ class ThermoPoint:
     shift: float
 
 
-#: Bytes of Hamiltonians per stack in :func:`spectra`. One stack for a
-#: 1001-point sweep at 2S = 60 would hold ~60 MB of H and as much again of
-#: eigenvectors, and a stack's temporaries take about five times its H;
-#: 256 KiB (4 matrices at dimension 61, 135 at 11) keeps peak memory
-#: within ~2 MB of one matrix at a time and runs as fast as 1 MiB.
+#: Bytes per stack in :func:`spectra`, counted with the itemsize of the
+#: widest matrices a stack builds: 8 for the eigenvalues of a real H, 16
+#: when H or the eigenvectors are complex. One stack for a 1001-point
+#: sweep at 2S = 60 would hold ~30 MB of real H, and a stack's temporaries
+#: take about five times that; 256 KiB (8 real or 4 complex matrices at
+#: dimension 61) keeps peak memory within ~2 MB of one matrix at a time
+#: and runs about as fast as 1 MiB. Counting a real H with eigenvectors
+#: at 8 bytes doubled the complex eigenvector temporaries and added
+#: ~0.9 MB to peak memory on a 101x21 fidelity map at dimension 11.
 _STACK_BYTES = 1 << 18
 
 
@@ -75,21 +79,29 @@ def spectra(
     bz: npt.ArrayLike,
     *,
     g: float = G_FACTOR,
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128]]:
+    vectors: bool = True,
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128] | None]:
     """Levels and ground vector at every point of a broadcast field grid,
     each shaped (..., 2S+1) and equal to ``eigh(build_hamiltonian(...))``
-    at that point alone."""
+    at that point alone; points with by = 0 are solved in real arithmetic.
+    With ``vectors=False`` the ground vector is None and the levels equal
+    ``eigh_stack(build_hamiltonian(...), vectors=False)``, which may differ
+    from eigh's in the last bits."""
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
-    ground = np.empty((n, dim), dtype=np.complex128)
-    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    ground = np.empty((n, dim), dtype=np.complex128) if vectors else None
+    itemsize = 16 if vectors or np.any(by) else 8
+    step = max(1, _STACK_BYTES // (itemsize * dim * dim))
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
         h = build_hamiltonians(system, aniso, bx.flat[part], by.flat[part], bz.flat[part], g=g)
-        levels[part], v = eigh_stack(h)
-        ground[part] = v[..., 0]
-    return levels.reshape(bx.shape + (dim,)), ground.reshape(bx.shape + (dim,))
+        levels[part], v = eigh_stack(h, vectors=vectors)
+        if vectors:
+            ground[part] = v[..., 0]
+    if vectors:
+        ground = ground.reshape(bx.shape + (dim,))
+    return levels.reshape(bx.shape + (dim,)), ground
 
 
 def fidelity(
@@ -207,6 +219,6 @@ def heatcap_map(
     temps = np.asarray(t, dtype=float)
     bz = np.atleast_1d(np.asarray(bz_values, dtype=float))
     bx = np.atleast_1d(np.asarray(bx_values, dtype=float))
-    levels, _ = spectra(system, aniso, bx[None, :], by, bz[:, None], g=g)
+    levels, _ = spectra(system, aniso, bx[None, :], by, bz[:, None], g=g, vectors=False)
     maps = [_moments(levels, tk)[3] / tk**2 for tk in temps.ravel().tolist()]
     return np.reshape(maps, temps.shape + levels.shape[:-1])

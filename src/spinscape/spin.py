@@ -206,14 +206,15 @@ def build_hamiltonian(
     field: FieldVector = FieldVector(),
     *,
     g: float = G_FACTOR,
-) -> npt.NDArray[np.complex128]:
+) -> npt.NDArray[np.float64] | npt.NDArray[np.complex128]:
     """Assemble the giant-spin Hamiltonian, in kelvin.
 
     H = d Sz^2 + e (Sx^2 - Sy^2) + g (bx Sx + by Sy + bz Sz)
         + b40 O_4^0 + b42 O_4^2 + b43 O_4^3 + b44 O_4^4
 
     Every term is Hermitian by construction in floating point, so the
-    returned matrix satisfies H == H^dagger exactly.
+    returned matrix satisfies H == H^dagger exactly. It is real
+    symmetric (float64) when by = 0 and complex128 otherwise.
     """
     return build_hamiltonians(system, aniso, field.bx, field.by, field.bz, g=g)
 
@@ -226,10 +227,12 @@ def build_hamiltonians(
     bz: npt.ArrayLike,
     *,
     g: float = G_FACTOR,
-) -> npt.NDArray[np.complex128]:
+) -> npt.NDArray[np.float64] | npt.NDArray[np.complex128]:
     """:func:`build_hamiltonian` over the broadcast shape of the field
     components, shaped (..., 2S+1, 2S+1); each matrix is the same to the
-    last bit whatever stack it is built in."""
+    last bit whatever stack it is built in. The stack is real (float64)
+    when by is zero at every point and complex128 otherwise; a complex
+    stack's real part equals the real stack built with by = 0."""
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     mats = spin_matrices(system)
     dim = system.dim
@@ -247,7 +250,6 @@ def build_hamiltonians(
         if coeff:
             real += coeff * _stevens_o4(system, mats, k)
 
-    h = real.astype(np.complex128)
-    if np.any(by):
-        h += (g * by)[..., None, None] * mats.sy
-    return h
+    if not np.any(by):
+        return real
+    return real + (g * by)[..., None, None] * mats.sy

@@ -20,6 +20,9 @@ Row = Sequence[Cell]
 
 
 def format_cell(value: Cell) -> str:
+    # Rows come from ndarray.tolist(), so nearly every cell is a plain float.
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):

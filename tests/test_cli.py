@@ -180,6 +180,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
         raise ConvergenceError("synthetic non-convergence")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
+    monkeypatch.setattr(np.linalg, "eigvalsh", explode)
     code = cli.main([
         "spectrum", "--compound", "3", "--bz-range", "0:1",
         "--grid", "4", "--out", str(tmp_path / "x.csv"),
@@ -303,13 +304,15 @@ def test_heatcap_map_diagonalises_each_node_once(tmp_path, monkeypatch):
         assert cli.main(base + ["--temps", t, "--out", str(tmp_path / f"single-{t}.csv")]) == 0
 
     matrices = []
-    original = np.linalg.eigh
 
-    def counting(h):
-        matrices.append(int(np.prod(h.shape[:-2])))
-        return original(h)
+    def counting(original):
+        def solve(h):
+            matrices.append(int(np.prod(h.shape[:-2])))
+            return original(h)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     assert cli.main(base + ["--temps", ",".join(temps), "--out", str(tmp_path / "c.csv")]) == 0
     assert sum(matrices) == 8
     for t in temps:

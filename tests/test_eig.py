@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinscape import eigh, ground_state
-from spinscape.eig import MAX_DIM, eigh_stack
+from spinscape.eig import MAX_DIM, ConvergenceError, eigh_stack
 
 
 def _random_hermitian(rng, n):
@@ -171,3 +171,101 @@ def test_phase_rule_matches_per_column_reference():
             spec = eigh(h)
             assert np.array_equal(spec.eigenvalues, w)
             assert np.array_equal(spec.eigenvectors, v)
+
+
+def _random_symmetric(rng, n):
+    a = rng.normal(size=(n, n))
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_zero_imaginary_stack_equals_its_real_part(vectors):
+    rng = np.random.default_rng(404)
+    for n in (1, 2, 11, 61):
+        real = np.stack([_random_symmetric(rng, n) for _ in range(5)])
+        w_c, v_c = eigh_stack(real.astype(complex), vectors=vectors)
+        w_r, v_r = eigh_stack(real, vectors=vectors)
+        for i in range(real.shape[0]):
+            assert np.array_equal(w_c[i], w_r[i])
+            if vectors:
+                assert v_c.dtype == v_r.dtype == np.complex128
+                assert np.array_equal(v_c[i], v_r[i])
+        if not vectors:
+            assert v_c is None and v_r is None
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_mixed_stack_gives_each_slice_its_own_result(vectors):
+    rng = np.random.default_rng(405)
+    n = 9
+    slices = [_random_symmetric(rng, n).astype(complex), _random_hermitian(rng, n),
+              _random_symmetric(rng, n).astype(complex), _random_hermitian(rng, n),
+              _random_hermitian(rng, n)]
+    h = np.stack(slices)
+    w, v = eigh_stack(h, vectors=vectors)
+    for i, hi in enumerate(slices):
+        w_i, v_i = eigh_stack(hi, vectors=vectors)
+        assert np.array_equal(w[i], w_i)
+        if vectors:
+            assert np.array_equal(v[i], v_i)
+            assert np.array_equal(v[i], eigh(hi).eigenvectors)
+    # the same slices in another arrangement: results follow the slice
+    order = [3, 0, 4, 2, 1]
+    w2, v2 = eigh_stack(h[order], vectors=vectors)
+    assert np.array_equal(w2, w[order])
+    if vectors:
+        assert np.array_equal(v2, v[order])
+
+
+def test_eigenvalues_only_rejects_what_eigh_rejects(monkeypatch):
+    rng = np.random.default_rng(17)
+    h = np.stack([_random_hermitian(rng, 6) for _ in range(4)])
+    skew = h.copy()
+    skew[2, 0, 1] += 1e-6
+    inf = h.copy()
+    inf[3, 4, 4] = np.inf
+    for bad in (skew, inf, skew.real, inf.real):
+        messages = []
+        for vectors in (True, False):
+            with pytest.raises(ValueError) as info:
+                eigh_stack(bad, vectors=vectors)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def fail(a):
+        raise np.linalg.LinAlgError("synthetic")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for stack in (h, h.real, np.stack([h[0], h[1].real.astype(complex)])):
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceError, match="synthetic"):
+                eigh_stack(stack, vectors=vectors)
+
+
+def test_uniform_stacks_reach_lapack_uncopied(monkeypatch):
+    rng = np.random.default_rng(406)
+    real = np.stack([_random_symmetric(rng, 7) for _ in range(3)])
+    cplx = np.stack([_random_hermitian(rng, 7) for _ in range(3)])
+    mixed = np.stack([real[0].astype(complex), cplx[1]])
+    cases = [
+        (real, [("f", 3, True)]),
+        (real.astype(complex), [("f", 3, True)]),  # its .real is a view
+        (cplx, [("c", 3, True)]),
+        (mixed, [("f", 1, False), ("c", 1, False)]),  # only a mixed stack is split
+    ]
+    calls = []
+
+    def recording(name, original):
+        def solve(a):
+            calls.append((name, a.dtype.kind, a.shape[0], np.shares_memory(a, h)))
+            return original(a)
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    for h, expected in cases:
+        for vectors, entry in ((True, "eigh"), (False, "eigvalsh")):
+            calls.clear()
+            eigh_stack(h, vectors=vectors)
+            assert calls == [(entry, *call) for call in expected]

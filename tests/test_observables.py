@@ -19,6 +19,7 @@ from spinscape import (
     thermo,
 )
 from spinscape import observables
+from spinscape.eig import eigh_stack
 from spinscape.observables import spectra
 
 
@@ -165,9 +166,9 @@ def test_spectra_sweep_longer_than_one_stack_equals_pointwise(monkeypatch):
     stack_bytes = []
     original = observables.eigh_stack
 
-    def recording(h):
+    def recording(h, **kwargs):
         stack_bytes.append(h.nbytes)
-        return original(h)
+        return original(h, **kwargs)
 
     monkeypatch.setattr(observables, "eigh_stack", recording)
     levels, ground = spectra(system, aniso, 0.9, 0.0, bz)
@@ -223,3 +224,54 @@ def test_fidelity_map_every_axis_matches_column_overlaps():
                     field = FieldVector(**{**center, axis: center[axis] + shift})
                     cols.append(eigh(build_hamiltonian(c.system, c.aniso, field)).eigenvectors[:, 0])
                 assert m.values[i, j] == abs(np.vdot(*cols)) ** 2
+
+
+@pytest.mark.parametrize("by", [0.0, 0.25])
+def test_heatcap_map_levels_equal_per_node_eigenvalues_only(monkeypatch, by):
+    c = lookup("3-trigonal")
+    bz = np.linspace(-0.2, 0.5, 7)
+    bx = np.array([0.0, 2.205])
+    temps = np.array([0.05, 0.3])
+    seen = []
+    original = observables.spectra
+
+    def recording(*args, **kwargs):
+        levels, ground = original(*args, **kwargs)
+        seen.append((levels, ground, kwargs.get("vectors", True)))
+        return levels, ground
+
+    monkeypatch.setattr(observables, "spectra", recording)
+    maps = heatcap_map(c.system, c.aniso, bz, bx, temps, by=by)
+    [(levels, ground, vectors)] = seen
+    assert not vectors and ground is None
+    for i, z in enumerate(bz):
+        for j, x in enumerate(bx):
+            h = build_hamiltonian(c.system, c.aniso, FieldVector(bx=x, by=by, bz=z))
+            w, _ = eigh_stack(h, vectors=False)
+            assert np.array_equal(levels[i, j], w)
+            for k, t in enumerate(temps):
+                assert maps[k, i, j] == observables._moments(w, t)[3] / t**2
+
+
+def test_spectra_stack_budget_counts_the_widest_dtype(monkeypatch):
+    system = SpinSystem(60)
+    aniso = AnisotropyParams(d=-0.3, e=0.01)
+    stacks = []
+    original = observables.eigh_stack
+
+    def recording(h, **kwargs):
+        stacks.append((h.dtype, h.shape[0], h.nbytes))
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(observables, "eigh_stack", recording)
+    # eigenvalues of a real H count 8 bytes per entry; complex H or
+    # eigenvectors (always complex) count 16
+    cases = ((0.0, False, np.dtype(float), 8), (0.0, True, np.dtype(float), 16),
+             (0.2, False, np.dtype(complex), 16), (0.2, True, np.dtype(complex), 16))
+    for by, vectors, dtype, itemsize in cases:
+        stacks.clear()
+        spectra(system, aniso, 0.9, by, np.linspace(-1.0, 1.0, 20), vectors=vectors)
+        full = observables._STACK_BYTES // (itemsize * 61 * 61)
+        assert [s[:2] for s in stacks[:-1]] == [(dtype, full)] * (len(stacks) - 1)
+        assert stacks[-1][0] == dtype and sum(s[1] for s in stacks) == 20
+        assert max(s[2] for s in stacks) <= observables._STACK_BYTES

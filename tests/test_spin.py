@@ -226,3 +226,21 @@ def test_spin_matrices_built_once_per_assembly(monkeypatch):
     calls.clear()
     stevens_o4(SpinSystem(10), 0)
     assert calls == []
+
+
+def test_hamiltonian_stack_is_real_exactly_when_by_vanishes():
+    aniso = AnisotropyParams(d=-0.6, e=0.04, b40=2e-5, b42=-1e-5, b43=0.01, b44=3e-5)
+    for two_s in (1, 10, 60):
+        sys = SpinSystem(two_s)
+        bz = np.linspace(-1.0, 1.0, 4)[:, None]
+        bx = np.array([0.0, 0.3, 2.0])
+        real = build_hamiltonians(sys, aniso, bx, 0.0, bz)
+        assert real.dtype == np.float64
+        assert build_hamiltonians(sys, aniso, bx, np.zeros(3), bz).dtype == np.float64
+        assert build_hamiltonians(sys, aniso, bx, -0.0, bz).dtype == np.float64
+        for by in (np.array([0.0, 0.0, 0.4]), np.array([1e-300, 0.0, 0.0]), 0.7):
+            forced = build_hamiltonians(sys, aniso, bx, by, bz)
+            assert forced.dtype == np.complex128
+            assert np.array_equal(forced.real, real)
+        assert build_hamiltonian(sys, aniso, FieldVector(bx=0.3)).dtype == np.float64
+        assert build_hamiltonian(sys, aniso, FieldVector(by=0.3)).dtype == np.complex128

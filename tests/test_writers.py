@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from spinscape.writers import (
@@ -23,6 +24,34 @@ def test_format_cell():
     assert format_cell("label") == "label"
     with pytest.raises(TypeError):
         format_cell(object())
+
+
+def _format_cell_reference(value):
+    """format_cell as it was before the plain-float fast path."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    raise TypeError(f"unsupported cell type {type(value).__name__}")
+
+
+def test_format_cell_every_cell_type_as_before():
+    cells = [
+        0.1, -0.0, 1e-300, 699.123456789012, float("inf"), float("nan"),
+        np.float64(0.1), np.float64(-2.5e-17), np.float32(0.1), np.float32(3.0),
+        7, -3, np.int64(42), np.int32(-1),
+        True, False, np.bool_(True), np.bool_(False),
+        "label", "",
+    ]
+    for value in cells:
+        assert format_cell(value) == _format_cell_reference(value), repr(value)
+    assert format_cell(np.float32(0.1)) == "0.10000000149011612"
+    assert format_cell(np.bool_(True)) == "true"
+    assert format_cell(np.int64(42)) == "42"
 
 
 def test_csv_layout(tmp_path):
