@@ -35,6 +35,7 @@ from typing import Literal
 import numpy as np
 import numpy.typing as npt
 
+from .eig import ConvergenceError
 from .spin import (
     G_FACTOR,
     AnisotropyParams,
@@ -451,7 +452,13 @@ def _polish_root(
 
     Falls back to plain bisection whenever a Newton step leaves the
     bracket or stalls; 60 iterations are far more than either method
-    needs at this smoothness.
+    needs at this smoothness (no root of the test suite or of the
+    benchmark workloads takes more than 35), so running out of them
+    raises.
+
+    Raises:
+        ConvergenceError: if neither |V'| <= tol nor a bracket narrower
+            than 1e-15 is reached in 60 iterations.
     """
     f_lo = _d1_scalar(lo, coef)
     if f_lo == 0.0:
@@ -479,7 +486,7 @@ def _polish_root(
             x = 0.5 * (lo + hi)
         if hi - lo < 1e-15:
             return x
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(f"stationary-point polish did not converge in [{lo!r}, {hi!r}]")
 
 
 def _branch_points(

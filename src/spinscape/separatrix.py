@@ -8,8 +8,12 @@ on these curves, so together they form the separatrix that organizes
 the phase diagram.
 
 Everything here is numerical: grid scan, edge classification, and
-bisection refinement. No closed-form discriminants are used, which
-keeps the machinery correct for the full five-parameter potential.
+edge refinement. A Maxwell edge is refined by a bracketed secant
+(Illinois regula falsi) on the energy gap of the tracked pair, which
+is smooth along the edge; a change in the number of stationary points
+has no such indicator and is bisected. No closed-form discriminants
+are used, which keeps the machinery correct for the full
+five-parameter potential.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ MATCH_TOL = math.pi / 4.0
 #: Bifurcation edges are bisected to this fraction of the axis range.
 BIFURCATION_REFINE = 1e-6
 
-#: Maxwell edges are bisected to this fraction of the axis range
+#: Maxwell edges are refined to this fraction of the axis range
 #: (tighter, so degeneracy location tests have headroom).
 MAXWELL_REFINE = 1e-8
 
@@ -208,6 +212,21 @@ def _refine_count_change(edge: _Edge, ref_counts: tuple[int, int], tol_t: float)
     return 0.5 * (lo + hi)
 
 
+def _tracked(
+    edge: _Edge,
+    t: float,
+    ref: Pair,
+    ref_counts: tuple[int, int],
+    which: str,
+) -> Pair | None:
+    """The pair at edge fraction t aligned onto ref, or None if tracking breaks there."""
+    fm = edge.feature_at(t)
+    pair = getattr(fm, which)
+    if fm.degenerate or fm.counts != ref_counts or pair is None:
+        return None
+    return _match(ref, pair)
+
+
 def _refine_tracking_failure(
     edge: _Edge,
     ref_counts: tuple[int, int],
@@ -220,11 +239,7 @@ def _refine_tracking_failure(
     ref = ref_pair
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = edge.feature_at(mid)
-        pair = getattr(fm, which)
-        matched = None
-        if not fm.degenerate and fm.counts == ref_counts and pair is not None:
-            matched = _match(ref, pair)
+        matched = _tracked(edge, mid, ref, ref_counts, which)
         if matched is not None:
             lo = mid
             ref = matched
@@ -239,31 +254,50 @@ def _refine_maxwell(
     ref_counts: tuple[int, int],
     which: str,
     d_lo: float,
+    d_hi: float,
     tol_t: float,
     tol_dv: float,
 ) -> float:
+    """Locate the zero of the tracked pair's gap along an edge.
+
+    Illinois regula falsi on the gap, which has the signs of d_lo and
+    d_hi at the two ends: each probe is the secant zero of the current
+    bracket, or its midpoint when that zero is not strictly inside, and
+    an end kept twice in a row has its gap halved. A probe where
+    tracking breaks becomes the far end with an unknown gap, so the
+    probes bisect until a tracked one beyond the zero supplies a gap
+    again. Stops at a probe with |gap| <= tol_dv or once the bracket is
+    no wider than tol_t.
+    """
     lo, hi = 0.0, 1.0
+    f_lo = d_lo
+    f_hi: float | None = d_hi  # None while hi lost tracking
     ref = ref_pair
-    positive = d_lo > 0.0
+    last_moved = ""
     while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        fm = edge.feature_at(mid)
-        pair = getattr(fm, which)
-        matched = None
-        if not fm.degenerate and fm.counts == ref_counts and pair is not None:
-            matched = _match(ref, pair)
+        t = 0.5 * (lo + hi)
+        if f_hi is not None:
+            secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            if lo < secant < hi:
+                t = secant
+        matched = _tracked(edge, t, ref, ref_counts, which)
         if matched is None:
             # the structure shifted under us; close in from the far side
-            hi = mid
+            hi, f_hi, last_moved = t, None, ""
             continue
         dvm = _delta(matched)
         if abs(dvm) <= tol_dv:
-            return mid
-        if (dvm > 0.0) == positive:
-            lo = mid
-            ref = matched
+            return t
+        if (dvm > 0.0) == (f_lo > 0.0):
+            lo, f_lo, ref = t, dvm, matched
+            if last_moved == "lo" and f_hi is not None:
+                f_hi *= 0.5
+            last_moved = "lo"
         else:
-            hi = mid
+            hi, f_hi = t, dvm
+            if last_moved == "hi":
+                f_lo *= 0.5
+            last_moved = "hi"
     return 0.5 * (lo + hi)
 
 
@@ -310,7 +344,7 @@ def _classify_edge(
                 events.append((category, 0.0))
         elif d_hi != 0.0 and (d_lo > 0.0) != (d_hi > 0.0):
             events.append(
-                (category, _refine_maxwell(edge, pa, fa.counts, which, d_lo, tol_mx, tol_dv))
+                (category, _refine_maxwell(edge, pa, fa.counts, which, d_lo, d_hi, tol_mx, tol_dv))
             )
     return events
 
@@ -368,10 +402,11 @@ def classify_cell_edges(plane: PlaneSpec, *, g: float = G_FACTOR) -> SeparatrixS
 
     Each grid node's landscape is summarized once; each edge between
     adjacent nodes is classified by comparing the two summaries, and
-    edges carrying an event are refined by bisection (to 1e-6 of the
-    axis range for stationary-count changes, 1e-8 for Maxwell
-    degeneracies). Refined points are chained into polylines. Cells
-    with a degenerate (flat) landscape are excluded.
+    edges carrying an event are refined: stationary-count changes by
+    bisection to 1e-6 of the axis range, Maxwell degeneracies by a
+    bracketed secant on the energy gap to 1e-8 of it (or to a gap
+    within 1e-10 of the energy scale). Refined points are chained into
+    polylines. Cells with a degenerate (flat) landscape are excluded.
     """
     axis1 = _canonical_axis(plane.axis1)
     axis2 = _canonical_axis(plane.axis2)
@@ -429,8 +464,9 @@ def sweep_crossings(
     """Crossing values of the separatrix along a single parameter axis.
 
     The one-dimensional analogue of ``classify_cell_edges``: sample the
-    landscape along the axis, classify consecutive segments, and bisect
-    each event down to refine_to (in the axis's own kelvin units).
+    landscape along the axis, classify consecutive segments, and refine
+    each event as there (secant for Maxwell points, bisection for count
+    changes) down to refine_to (in the axis's own kelvin units).
     """
     axis_name = _canonical_axis(axis)
     lo, hi = float(sweep_range[0]), float(sweep_range[1])

@@ -9,6 +9,7 @@ import pytest
 
 from spinscape import (
     AnisotropyParams,
+    ConvergenceError,
     FieldVector,
     ReducedParams,
     SpinSystem,
@@ -435,3 +436,12 @@ def test_mirrored_minima_have_bit_equal_values(r3, r4):
         mirror = minima[2.0 * math.pi - p.theta]
         assert mirror.value == p.value
     assert report.tie
+
+
+def test_polish_root_raises_when_iterations_run_out():
+    # V' = sin(theta) has its root 3*pi inside [9, 9.5], and a negative
+    # tolerance rules out the |V'| exit. Above 8 adjacent floats are
+    # 1.8e-15 apart, so the bracket closes onto two of them but never
+    # gets narrower than the 1e-15 floor.
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _ls._polish_root(9.0, 9.5, (1.0, 0.0, 0.0, 0.0, 0.0), -1.0)

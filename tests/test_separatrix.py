@@ -1,15 +1,23 @@
 """Bifurcation and degeneracy curve detection in parameter planes."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
 from spinscape import (
+    CriticalPoint,
     PlaneSpec,
     ReducedParams,
     SpinSystem,
     classify_cell_edges,
+    landscape,
+    parameter_scale,
     sweep_crossings,
 )
+from spinscape.separatrix import MAXWELL_REFINE
+from spinscape.spin import G_FACTOR
 
 S5 = SpinSystem(10)
 
@@ -165,3 +173,207 @@ def test_points_empty_kind():
     result = classify_cell_edges(plane)
     assert result.points("bifurcation").shape == (0, 2)
     assert result.points("maxwell_minima").shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Maxwell-edge refinement. The bisection it replaced is kept here as the
+# reference the secant refiner is compared against.
+
+_sep = importlib.import_module("spinscape.separatrix")
+_TOL_DV = 1e-10
+_COUNTS = (2, 2)
+_THETAS = (0.5, 2.5)
+
+
+def _bisect_maxwell(edge, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv):
+    lo, hi = 0.0, 1.0
+    ref = ref_pair
+    positive = d_lo > 0.0
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        fm = edge.feature_at(mid)
+        pair = getattr(fm, which)
+        matched = None
+        if not fm.degenerate and fm.counts == ref_counts and pair is not None:
+            matched = _sep._match(ref, pair)
+        if matched is None:
+            hi = mid
+            continue
+        dvm = _sep._delta(matched)
+        if abs(dvm) <= tol_dv:
+            return mid
+        if (dvm > 0.0) == positive:
+            lo = mid
+            ref = matched
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _pair(gap, shift=0.0):
+    return (
+        CriticalPoint(_THETAS[0] + shift, gap, "minimum", 1.0),
+        CriticalPoint(_THETAS[1] + shift, 0.0, "minimum", 1.0),
+    )
+
+
+class _ScriptedEdge:
+    """An edge whose tracked minima pair has the gap gap(t).
+
+    Where gap(t) is None both wells jump by 1 rad, more than MATCH_TOL,
+    so tracking breaks there. Every probe is recorded.
+    """
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.probes = []
+
+    def feature_at(self, t):
+        self.probes.append(t)
+        d = self.gap(t)
+        pair = _pair(0.0, shift=1.0) if d is None else _pair(d)
+        return _sep._Feature(False, _COUNTS, pair, None)
+
+    def refine(self):
+        d_lo, d_hi = self.gap(0.0), self.gap(1.0)
+        return _sep._refine_maxwell(
+            self, _pair(d_lo), _COUNTS, "min_pair", d_lo, d_hi, MAXWELL_REFINE, _TOL_DV
+        )
+
+    def replay(self):
+        """Check each probe against the bracket the probes before it left.
+
+        A probe must lie strictly inside the bracket, and after a probe
+        that lost tracking it must be the midpoint until a tracked
+        probe beyond the zero gives the far end a gap again.
+        """
+        d_lo = self.gap(0.0)
+        lo, hi, hi_known = 0.0, 1.0, True
+        for t in self.probes:
+            assert lo < t < hi
+            if not hi_known:
+                assert t == 0.5 * (lo + hi)
+            d = self.gap(t)
+            if d is None:
+                hi, hi_known = t, False
+            elif (d > 0.0) == (d_lo > 0.0):
+                lo = t
+            else:
+                hi, hi_known = t, True
+
+
+@pytest.mark.parametrize("slope, root", [(3.0, 0.37), (-0.02, 0.5), (250.0, 0.001), (7.0, 0.9999)])
+def test_maxwell_secant_on_linear_gap_takes_few_probes(slope, root):
+    edge = _ScriptedEdge(lambda t: slope * (t - root))
+    t = edge.refine()
+    edge.replay()
+    assert len(edge.probes) <= 3
+    assert abs(edge.gap(t)) <= _TOL_DV
+
+
+@pytest.mark.parametrize(
+    "gap, root",
+    [
+        (lambda t: t**9 - 0.2, 0.2 ** (1.0 / 9.0)),
+        (lambda t: math.expm1(25.0 * (t - 0.9)), 0.9),
+        (lambda t: math.tanh(60.0 * (t - 0.3)), 0.3),
+        (lambda t: (t - 0.3) ** 3, 0.3),
+        (lambda t: 1.0 / (t + 1e-3) - 50.0, 1.0 / 50.0 - 1e-3),
+        # the far node's gap is so small that the secant zero rounds to 1
+        (lambda t: (t - 1.0) + 1e-20, 1.0),
+    ],
+)
+def test_maxwell_secant_on_hard_gap_meets_stopping_rule(gap, root):
+    edge = _ScriptedEdge(gap)
+    t = edge.refine()
+    edge.replay()
+    assert abs(gap(t)) <= _TOL_DV or abs(t - root) <= MAXWELL_REFINE
+    # no more than the 27 the bisection needs to reach MAXWELL_REFINE
+    assert len(edge.probes) <= 27
+
+
+@pytest.mark.parametrize("offset", [0.0, -5.0])
+def test_maxwell_refiner_bisects_after_tracking_loss(offset):
+    # Tracking holds up to t = 0.6 and on the far node only; the far
+    # node's gap (+1) lies off the line through the tracked part, so a
+    # secant through it after the loss would probe off the midpoint.
+    # offset 0 puts the zero at 0.55; offset -5 keeps the tracked gap
+    # negative, so the sign change sits where tracking breaks.
+    def gap(t):
+        if 0.6 < t < 1.0:
+            return None
+        return 1.0 if t == 1.0 else 20.0 * (t - 0.55) + offset
+
+    edge = _ScriptedEdge(gap)
+    t = edge.refine()
+    edge.replay()
+    assert any(gap(p) is None for p in edge.probes)
+    if offset == 0.0:
+        assert abs(gap(t)) <= _TOL_DV or abs(t - 0.55) <= MAXWELL_REFINE
+    else:
+        assert abs(t - 0.6) <= MAXWELL_REFINE
+
+
+def test_maxwell_secant_agrees_with_bisection_on_random_edges():
+    rng = np.random.default_rng(20240611)
+    cases = 0
+    for _ in range(200):
+        rp = ReducedParams(
+            r1=float(rng.uniform(-2.0, 2.0)), r2=0.0, r3=float(rng.uniform(-1.0, -0.2)),
+            r4=float(rng.normal() * 1e-3), r5=float(rng.normal() * 0.05),
+            system=SpinSystem(int(rng.choice([4, 10, 20]))),
+        )
+        axis = str(rng.choice(["r1", "r2"]))
+        which = str(rng.choice(["min_pair", "max_pair"]))
+        a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
+        edge = _sep._Edge(rp, axis, a, b, G_FACTOR)
+        fa, fb = edge.feature_at(0.0), edge.feature_at(1.0)
+        pa, pb = getattr(fa, which), getattr(fb, which)
+        if fa.degenerate or fb.degenerate or fa.counts != fb.counts or pa is None or pb is None:
+            continue
+        matched = _sep._match(pa, pb)
+        if matched is None:
+            continue
+        d_lo, d_hi = _sep._delta(pa), _sep._delta(matched)
+        if d_lo == 0.0 or d_hi == 0.0 or (d_lo > 0.0) == (d_hi > 0.0):
+            continue
+        cases += 1
+        tol_dv = 1e-10 * parameter_scale(rp)
+        args = (edge, pa, fa.counts, which, d_lo)
+        t_new = _sep._refine_maxwell(*args, d_hi, MAXWELL_REFINE, tol_dv)
+        t_ref = _bisect_maxwell(*args, MAXWELL_REFINE, tol_dv)
+        if abs(t_new - t_ref) <= MAXWELL_REFINE:
+            continue
+        # on a nearly flat gap both stop at a different |gap| <= tol_dv
+        for t in (t_new, t_ref):
+            pair = _sep._match(pa, getattr(edge.feature_at(t), which))
+            assert abs(_sep._delta(pair)) <= tol_dv
+    assert cases >= 30
+
+
+@pytest.mark.parametrize("r5, resolution", [(0.0, (21, 17)), (0.01, (24, 16))])
+def test_maxwell_refinement_landscape_calls_per_event(monkeypatch, r5, resolution):
+    # r5 = 0 is the acceptance-8 plane; the bisection took ~20 landscape
+    # calls per Maxwell event there and ~26 on the r5 = 0.01 plane
+    calls = {"refining": False, "landscape": 0, "events": 0}
+
+    def counting_landscape(*args, **kwargs):
+        calls["landscape"] += calls["refining"]
+        return landscape(*args, **kwargs)
+
+    refine = _sep._refine_maxwell
+
+    def counting_refine(*args, **kwargs):
+        calls["refining"] = True
+        calls["events"] += 1
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            calls["refining"] = False
+
+    monkeypatch.setattr(_sep, "landscape", counting_landscape)
+    monkeypatch.setattr(_sep, "_refine_maxwell", counting_refine)
+    plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
+    classify_cell_edges(plane)
+    assert calls["events"] > 0
+    assert calls["landscape"] <= 6 * calls["events"]
