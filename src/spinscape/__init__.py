@@ -8,9 +8,9 @@ The package is organized by capability:
 - :mod:`spinscape.eig` wraps dense Hermitian diagonalization with the
   validation, determinism, and error policy the rest of the package
   relies on.
-- :mod:`spinscape.landscape` evaluates coherent-state energy surfaces,
-  their reduction to a five-parameter polar form, and the stationary
-  structure of that form.
+- :mod:`spinscape.landscape` evaluates the coherent-state energy
+  surface on the sphere, its reduction to a five-parameter polar
+  Fourier series, and the stationary structure of that series.
 - :mod:`spinscape.separatrix` locates bifurcation and degeneracy
   (Maxwell) sets in one- and two-parameter scans.
 - :mod:`spinscape.observables` computes ground-state fidelity and
@@ -22,7 +22,7 @@ The package is organized by capability:
 """
 
 from .compounds import Compound, catalog, dump_compound, load_compound, lookup
-from .eig import ConvergenceError, Spectrum, eigh, ground_state
+from .eig import ConvergenceError, Spectrum, eigh
 from .landscape import (
     CriticalPoint,
     LandscapeReport,
@@ -32,10 +32,7 @@ from .landscape import (
     landscape,
     parameter_scale,
     potential_angular,
-    potential_cartesian,
     potential_reduced,
-    potential_reduced_d1,
-    potential_reduced_d2,
     reduce_params,
 )
 from .observables import (
@@ -95,7 +92,6 @@ __all__ = [
     "eigh",
     "fidelity",
     "fidelity_map",
-    "ground_state",
     "heat_capacity_scan",
     "heatcap_map",
     "landscape",
@@ -103,10 +99,7 @@ __all__ = [
     "lookup",
     "parameter_scale",
     "potential_angular",
-    "potential_cartesian",
     "potential_reduced",
-    "potential_reduced_d1",
-    "potential_reduced_d2",
     "reduce_params",
     "spin_matrices",
     "stevens_o4",

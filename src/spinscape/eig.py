@@ -125,12 +125,3 @@ def eigh_stack(
     pivot = np.take_along_axis(v, k, axis=-2)
     return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
-
-def ground_state(
-    spectrum: Spectrum,
-) -> tuple[float, npt.NDArray[np.complex128], float]:
-    """Return (e0, ground vector, gap to the first excited level)."""
-    w = spectrum.eigenvalues
-    if w.shape[0] < 2:
-        raise ValueError("ground_state needs at least a two-level spectrum")
-    return float(w[0]), spectrum.eigenvectors[:, 0], float(w[1] - w[0])

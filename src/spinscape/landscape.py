@@ -3,14 +3,17 @@
 The classical limit replaces the spin by a unit vector. Taking the
 expectation of the Hamiltonian in an atomic coherent state pinned at
 polar angles (theta, phi) produces a smooth energy surface on the
-sphere; this module provides that surface in three equivalent forms:
+sphere; this module provides that surface in two forms:
 
-* ``potential_angular``   on the sphere, arguments (theta, phi),
-* ``potential_cartesian`` on the unit disc, arguments (x, y) plus a
-  hemisphere selector,
-* ``potential_reduced``   restricted to the bx-bz plane (phi = 0 or pi),
+* ``potential_angular`` on the sphere, arguments (theta, phi),
+* ``potential_reduced`` restricted to the bx-bz plane (phi = 0 or pi),
   a one-dimensional 2*pi-periodic function of theta driven by five
   collapsed parameters r1..r5.
+
+On each branch the reduced potential is one short Fourier series,
+offset + sum of a_k cos(k theta) + b_k sin(k theta) over k = 1, 2, 4,
+with coefficients linear in r1..r5. Its value, slope and curvature all
+come from that one coefficient tuple.
 
 ``coherent_expectation`` builds the coherent state explicitly and
 evaluates <psi| H |psi> with matrices. It is deliberately independent
@@ -139,16 +142,6 @@ def parameter_scale(rp: ReducedParams) -> float:
     return max(1.0, total) * rp.system.s ** 2
 
 
-def _prefactors(system: SpinSystem, g: float) -> tuple[float, float, float]:
-    """(quadratic, Zeeman, quartic) prefactors of the reduced potential."""
-    s = system.s
-    n = system.two_s
-    quad = s * (n - 1) / 4.0
-    zeeman = g * s
-    quart = s * (n - 1) * (n - 2) * (n - 3) / 64.0
-    return quad, zeeman, quart
-
-
 def reduce_params(
     system: SpinSystem,
     aniso: AnisotropyParams,
@@ -262,51 +255,66 @@ def potential_angular(
     return v
 
 
-def potential_cartesian(
-    x: npt.ArrayLike,
-    y: npt.ArrayLike,
-    z_sign: int,
-    system: SpinSystem,
-    aniso: AnisotropyParams,
-    field: FieldVector = FieldVector(),
-    *,
-    g: float = G_FACTOR,
-) -> npt.NDArray[np.float64] | float:
-    """Coherent-state energy surface over the unit disc, in kelvin.
+def _coefficients(rp: ReducedParams, branch: int, g: float) -> tuple[float, ...]:
+    """Fourier coefficients (a1, b1, a2, b2, a4, b4) of V on one branch.
 
-    (x, y) are the transverse components of the classical unit vector
-    and z_sign selects the hemisphere, z = z_sign * sqrt(1 - x^2 - y^2)
-    with z the cosine of the polar angle. Requires x^2 + y^2 <= 1.
+    V(theta) = offset + sum over k = 1, 2, 4 of a_k cos(k theta) +
+    b_k sin(k theta); the in-plane potential has no 3*theta harmonic.
+    Each entry is one r-parameter times one prefactor, so the tuple is
+    linear in r.
     """
-    zs = _check_branch(z_sign)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    rho2 = xa**2 + ya**2
-    if np.any(rho2 > 1.0 + 1e-12):
-        raise ValueError("x^2 + y^2 must not exceed 1")
-    z = zs * np.sqrt(np.clip(1.0 - rho2, 0.0, None))
+    b = _check_branch(branch)
+    s = rp.system.s
+    n = rp.system.two_s
+    quad = s * (n - 1) / 4.0
+    zeeman = g * s
+    quart = s * (n - 1) * (n - 2) * (n - 3) / 64.0
+    return (
+        -zeeman * rp.r2,
+        b * zeeman * rp.r1,
+        quad * rp.r3,
+        -2.0 * b * quart * rp.r5,
+        quart * rp.r4,
+        b * quart * rp.r5,
+    )
 
-    s = system.s
-    n = system.two_s
-    x2, y2 = xa**2, ya**2
-    x4, y4 = x2**2, y2**2
 
-    v = -aniso.d / 2.0 * s * (n - 1) * rho2
-    v = v + aniso.e / 2.0 * s * (n - 1) * (x2 - y2)
-    v = v + g * s * (-field.bz * z + field.bx * xa + field.by * ya)
+def _derivative(coef: tuple[float, ...]) -> tuple[float, ...]:
+    """Coefficients of the theta-derivative: (a_k, b_k) -> k (b_k, -a_k).
 
-    quart = s * (n - 1) * (n - 2) * (n - 3) / 8.0
-    if quart != 0.0 and (aniso.b40 or aniso.b42 or aniso.b43 or aniso.b44):
-        inner = aniso.b40 * (35.0 * (x4 + y4) - 40.0 * rho2 + 70.0 * x2 * y2 + 8.0)
-        inner = inner - aniso.b42 * (x2 - y2) * (7.0 * rho2 - 6.0)
-        inner = inner - aniso.b43 * xa * (x2 - 3.0 * y2) * z
-        inner = inner + aniso.b44 * (x4 + y4 - 6.0 * x2 * y2)
-        v = v + quart * inner
+    k is a power of two, so the map is exact in floating point.
+    """
+    a1, b1, a2, b2, a4, b4 = coef
+    return (b1, -a1, 2.0 * b2, -2.0 * a2, 4.0 * b4, -4.0 * a4)
 
-    v = v + aniso.d * s**2
-    if v.ndim == 0:
-        return float(v)
-    return v
+
+def _basis(theta: npt.ArrayLike) -> npt.NDArray[np.float64]:
+    """(cos k theta, sin k theta) for k = 1, 2, 4 along a new last axis."""
+    th = np.asarray(theta, dtype=float)
+    return np.stack([f(k * th) for k in (1.0, 2.0, 4.0) for f in (np.cos, np.sin)], axis=-1)
+
+
+def _trig(theta: float) -> tuple[float, ...]:
+    """``_basis`` at one angle, as floats."""
+    return (
+        math.cos(theta), math.sin(theta),
+        math.cos(2.0 * theta), math.sin(2.0 * theta),
+        math.cos(4.0 * theta), math.sin(4.0 * theta),
+    )
+
+
+def _series(coef: tuple[float, ...], trig: tuple[float, ...]) -> float:
+    """The Fourier series with coefficients coef at the angle of ``_trig``."""
+    a1, b1, a2, b2, a4, b4 = coef
+    c1, s1, c2, s2, c4, s4 = trig
+    return a1 * c1 + b1 * s1 + a2 * c2 + b2 * s2 + a4 * c4 + b4 * s4
+
+
+# The dense stationary-point scan's angles and their basis rows.
+_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, SCAN_SAMPLES, endpoint=False)
+_SCAN_BASIS = _basis(_SCAN_THETAS)
+_SCAN_THETAS.setflags(write=False)
+_SCAN_BASIS.setflags(write=False)
 
 
 def potential_reduced(
@@ -319,153 +327,41 @@ def potential_reduced(
     """In-plane potential V(theta) on one branch, in kelvin.
 
     branch +1 is the phi = 0 half-plane, -1 the phi = pi half-plane.
-    Equals ``potential_angular(theta, 0 or pi)`` exactly when the
-    r-parameters and offset come from ``reduce_params``.
+    Equals ``potential_angular(theta, 0 or pi)`` to rounding error when
+    the r-parameters and offset come from ``reduce_params``.
     """
-    b = _check_branch(branch)
-    th = np.asarray(theta, dtype=float)
-    quad, zee, quart = _prefactors(rp.system, g)
-    v = (
-        quad * rp.r3 * np.cos(2.0 * th)
-        + zee * (-rp.r2 * np.cos(th) + b * rp.r1 * np.sin(th))
-        + quart * (
-            rp.r4 * np.cos(4.0 * th)
-            - b * rp.r5 * (2.0 * np.sin(2.0 * th) - np.sin(4.0 * th))
-        )
-        + rp.offset
-    )
+    v = rp.offset + _basis(theta) @ _coefficients(rp, branch, g)
     if v.ndim == 0:
         return float(v)
     return v
-
-
-def potential_reduced_d1(
-    theta: npt.ArrayLike,
-    rp: ReducedParams,
-    branch: int = 1,
-    *,
-    g: float = G_FACTOR,
-) -> npt.NDArray[np.float64] | float:
-    """Analytic dV/dtheta of the reduced potential."""
-    b = _check_branch(branch)
-    th = np.asarray(theta, dtype=float)
-    quad, zee, quart = _prefactors(rp.system, g)
-    v = (
-        -2.0 * quad * rp.r3 * np.sin(2.0 * th)
-        + zee * (rp.r2 * np.sin(th) + b * rp.r1 * np.cos(th))
-        + quart * (
-            -4.0 * rp.r4 * np.sin(4.0 * th)
-            - 4.0 * b * rp.r5 * (np.cos(2.0 * th) - np.cos(4.0 * th))
-        )
-    )
-    if v.ndim == 0:
-        return float(v)
-    return v
-
-
-def potential_reduced_d2(
-    theta: npt.ArrayLike,
-    rp: ReducedParams,
-    branch: int = 1,
-    *,
-    g: float = G_FACTOR,
-) -> npt.NDArray[np.float64] | float:
-    """Analytic d2V/dtheta2 of the reduced potential."""
-    b = _check_branch(branch)
-    th = np.asarray(theta, dtype=float)
-    quad, zee, quart = _prefactors(rp.system, g)
-    v = (
-        -4.0 * quad * rp.r3 * np.cos(2.0 * th)
-        + zee * (rp.r2 * np.cos(th) - b * rp.r1 * np.sin(th))
-        + quart * (
-            -16.0 * rp.r4 * np.cos(4.0 * th)
-            + b * rp.r5 * (8.0 * np.sin(2.0 * th) - 16.0 * np.sin(4.0 * th))
-        )
-    )
-    if v.ndim == 0:
-        return float(v)
-    return v
-
-
-# Cached trig tables for the dense stationary-point scan, keyed by the
-# sample count. Read-only after creation, so safe to share.
-_TRIG_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _trig_table(samples: int) -> tuple[np.ndarray, ...]:
-    table = _TRIG_CACHE.get(samples)
-    if table is None:
-        thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        table = (
-            thetas,
-            np.sin(thetas),
-            np.cos(thetas),
-            np.sin(2.0 * thetas),
-            np.cos(2.0 * thetas),
-            np.sin(4.0 * thetas),
-            np.cos(4.0 * thetas),
-        )
-        _TRIG_CACHE[samples] = table
-    return table
-
-
-def _d1_scalar(theta: float, coef: tuple[float, ...]) -> float:
-    c_s1, c_c1, c_s2, c_c2mc4, c_s4 = coef
-    return (
-        c_s1 * math.sin(theta)
-        + c_c1 * math.cos(theta)
-        + c_s2 * math.sin(2.0 * theta)
-        + c_c2mc4 * (math.cos(2.0 * theta) - math.cos(4.0 * theta))
-        + c_s4 * math.sin(4.0 * theta)
-    )
-
-
-def _d2_scalar(theta: float, coef: tuple[float, ...]) -> float:
-    c_s1, c_c1, c_s2, c_c2mc4, c_s4 = coef
-    return (
-        c_s1 * math.cos(theta)
-        - c_c1 * math.sin(theta)
-        + 2.0 * c_s2 * math.cos(2.0 * theta)
-        + c_c2mc4 * (-2.0 * math.sin(2.0 * theta) + 4.0 * math.sin(4.0 * theta))
-        + 4.0 * c_s4 * math.cos(4.0 * theta)
-    )
-
-
-def _d1_coefficients(rp: ReducedParams, b: float, g: float) -> tuple[float, ...]:
-    quad, zee, quart = _prefactors(rp.system, g)
-    return (
-        zee * rp.r2,                 # sin(theta)
-        zee * b * rp.r1,             # cos(theta)
-        -2.0 * quad * rp.r3,         # sin(2 theta)
-        -4.0 * quart * b * rp.r5,    # cos(2 theta) - cos(4 theta)
-        -4.0 * quart * rp.r4,        # sin(4 theta)
-    )
 
 
 def _polish_root(
     lo: float,
     hi: float,
-    coef: tuple[float, ...],
+    d1: tuple[float, ...],
+    d2: tuple[float, ...],
     tol: float,
 ) -> float:
-    """Newton iteration guarded by a sign-change bracket.
+    """Newton iteration on the series d1 = V', guarded by a sign-change bracket.
 
-    Falls back to plain bisection whenever a Newton step leaves the
-    bracket or stalls; 60 iterations are far more than either method
-    needs at this smoothness (no root of the test suite or of the
-    benchmark workloads takes more than 35), so running out of them
-    raises.
+    d2 = V'' supplies the Newton slope from the same trig values. Falls
+    back to plain bisection whenever a Newton step leaves the bracket or
+    stalls; 60 iterations are far more than either method needs at this
+    smoothness (no root of the test suite or of the benchmark workloads
+    takes more than 35), so running out of them raises.
 
     Raises:
         ConvergenceError: if neither |V'| <= tol nor a bracket narrower
             than 1e-15 is reached in 60 iterations.
     """
-    f_lo = _d1_scalar(lo, coef)
+    f_lo = _series(d1, _trig(lo))
     if f_lo == 0.0:
         return lo
     x = 0.5 * (lo + hi)
     for _ in range(60):
-        fx = _d1_scalar(x, coef)
+        trig = _trig(x)
+        fx = _series(d1, trig)
         if abs(fx) <= tol:
             return x
         # shrink the bracket around the sign change
@@ -474,7 +370,7 @@ def _polish_root(
             f_lo = fx
         else:
             hi = x
-        dfx = _d2_scalar(x, coef)
+        dfx = _series(d2, trig)
         if dfx != 0.0:
             step = fx / dfx
             candidate = x - step
@@ -493,7 +389,6 @@ def _branch_points(
     rp: ReducedParams,
     branch: int,
     g: float,
-    samples: int,
     owned_only: bool,
 ) -> list[CriticalPoint]:
     """Stationary points of one branch, found by a dense scan of V'.
@@ -504,38 +399,38 @@ def _branch_points(
     brackets apart are a whole sample apart, so the margin leaves every
     merge decision inside the owned angles as in the full scan.
     """
-    b = _check_branch(branch)
     scale = parameter_scale(rp)
     tol_root = 1e-12 * scale
     tol_flat = 1e-9 * scale
 
-    thetas, s1, c1, s2, c2, s4, c4 = _trig_table(samples)
-    coef = _d1_coefficients(rp, b, g)
-    c_s1, c_c1, c_s2, c_c2mc4, c_s4 = coef
-    d1 = c_s1 * s1 + c_c1 * c1 + c_s2 * s2 + c_c2mc4 * (c2 - c4) + c_s4 * s4
+    coef = _coefficients(rp, branch, g)
+    d1 = _derivative(coef)
+    d2 = _derivative(d1)
+    thetas = _SCAN_THETAS
+    slope = _SCAN_BASIS @ d1
 
-    if float(np.max(np.abs(d1))) <= 1e-12 * scale:
+    if float(np.max(np.abs(slope))) <= 1e-12 * scale:
         return []
 
     two_pi = 2.0 * math.pi
-    # A sample where d1 == 0 is a root in its own right; a bracket
+    # A sample where the slope is 0 is a root in its own right; a bracket
     # [thetas[i], thetas[i+1]) with a zero end is skipped because that
     # node is recorded on its own. The last bracket wraps to 2*pi.
-    nxt = np.roll(d1, -1)
-    zero = d1 == 0.0
-    bracket = ~zero & (nxt != 0.0) & ((d1 > 0.0) != (nxt > 0.0))
+    nxt = np.roll(slope, -1)
+    zero = slope == 0.0
+    bracket = ~zero & (nxt != 0.0) & ((slope > 0.0) != (nxt > 0.0))
     if owned_only:
-        margin = 2.0 * two_pi / samples
+        margin = 2.0 * two_pi / SCAN_SAMPLES
         near = thetas <= math.pi + margin
-        if b > 0.0:
+        if branch == 1:
             near |= thetas >= two_pi - margin
         zero &= near
         bracket &= near
 
     roots = [float(thetas[i]) for i in np.flatnonzero(zero)]
     for i in np.flatnonzero(bracket):
-        hi = float(thetas[i + 1]) if i + 1 < samples else two_pi
-        roots.append(_polish_root(float(thetas[i]), hi, coef, tol_root))
+        hi = float(thetas[i + 1]) if i + 1 < SCAN_SAMPLES else two_pi
+        roots.append(_polish_root(float(thetas[i]), hi, d1, d2, tol_root))
 
     roots = [r % two_pi for r in roots]
     roots.sort()
@@ -549,14 +444,15 @@ def _branch_points(
 
     points: list[CriticalPoint] = []
     for r in merged:
-        curvature = _d2_scalar(r, coef)
+        trig = _trig(r)
+        curvature = _series(d2, trig)
         if curvature > tol_flat:
             kind: Kind = "minimum"
         elif curvature < -tol_flat:
             kind = "maximum"
         else:
             kind = "inflection"
-        value = float(potential_reduced(r, rp, branch, g=g))
+        value = rp.offset + _series(coef, trig)
         points.append(CriticalPoint(theta=r, value=value, kind=kind, second_derivative=curvature))
     return points
 
@@ -566,7 +462,6 @@ def critical_points(
     branch: int = 1,
     *,
     g: float = G_FACTOR,
-    samples: int = SCAN_SAMPLES,
 ) -> list[CriticalPoint]:
     """All stationary angles of one branch over [0, 2*pi).
 
@@ -579,7 +474,7 @@ def critical_points(
     Returns an empty list only for the flat (all parameters negligible)
     potential, which callers should treat as degenerate.
     """
-    return _branch_points(rp, branch, g, samples, owned_only=False)
+    return _branch_points(rp, branch, g, owned_only=False)
 
 
 #: Tolerance factor for calling two minima degenerate in a landscape.
@@ -595,8 +490,8 @@ def landscape(rp: ReducedParams, *, g: float = G_FACTOR) -> LandscapeReport:
     exactly once. Each branch polishes only the roots it owns; the
     other half of its circle belongs to the mirror branch.
     """
-    plus = _branch_points(rp, 1, g, SCAN_SAMPLES, owned_only=True)
-    minus = _branch_points(rp, -1, g, SCAN_SAMPLES, owned_only=True)
+    plus = _branch_points(rp, 1, g, owned_only=True)
+    minus = _branch_points(rp, -1, g, owned_only=True)
     scale = parameter_scale(rp)
 
     if not plus and not minus:

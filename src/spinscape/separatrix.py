@@ -467,6 +467,10 @@ def sweep_crossings(
     landscape along the axis, classify consecutive segments, and refine
     each event as there (secant for Maxwell points, bisection for count
     changes) down to refine_to (in the axis's own kelvin units).
+
+    Raises:
+        ValueError: if refine_to is not finite or is below 2**-52 of the
+            sample step, where float64 can no longer split a bracket.
     """
     axis_name = _canonical_axis(axis)
     lo, hi = float(sweep_range[0]), float(sweep_range[1])
@@ -477,6 +481,10 @@ def sweep_crossings(
     values = np.linspace(lo, hi, samples)
     scale = parameter_scale(fixed)
     step = values[1] - values[0]
+    if not (math.isfinite(refine_to) and refine_to / step >= 2.0**-52):
+        raise ValueError(
+            f"refine_to must be finite and at least 2**-52 of the sample step, got {refine_to!r}"
+        )
     tol_t = min(0.5, refine_to / step)
 
     feats = [_feature(_with_value(fixed, axis_name, v), g) for v in values]

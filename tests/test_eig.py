@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinscape import eigh, ground_state
+from spinscape import eigh
 from spinscape.eig import MAX_DIM, ConvergenceError, eigh_stack
 
 
@@ -91,16 +91,6 @@ def test_rejects_bad_input():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
     with pytest.raises(ValueError):
         eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_ground_state():
-    h = np.diag([2.0, -1.0, 0.5]).astype(complex)
-    e0, vec, gap = ground_state(eigh(h))
-    assert e0 == -1.0
-    assert gap == 1.5
-    assert abs(abs(vec[1]) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        ground_state(eigh(np.array([[1.0 + 0j]])))
 
 
 def _degenerate_hermitian(rng, levels):

@@ -19,17 +19,22 @@ from spinscape import (
     lookup,
     parameter_scale,
     potential_angular,
-    potential_cartesian,
     potential_reduced,
-    potential_reduced_d1,
-    potential_reduced_d2,
     reduce_params,
 )
 from spinscape.spin import G_FACTOR
 
 # ``spinscape.landscape`` is the function; the module holds the private
-# scan helpers the reference below reuses.
+# Fourier-series helpers the tests and the reference below reuse.
 _ls = importlib.import_module("spinscape.landscape")
+
+
+def _derivative_at(theta, rp, branch, order):
+    """order-th theta-derivative of V from the coefficient representation."""
+    coef = _ls._coefficients(rp, branch, G_FACTOR)
+    for _ in range(order):
+        coef = _ls._derivative(coef)
+    return _ls._series(coef, _ls._trig(theta))
 
 
 def _random_setup(rng, two_s=None):
@@ -126,20 +131,6 @@ def test_reduced_equals_angular_on_both_half_planes():
         assert np.max(np.abs(minus - ref_minus)) < 1e-12 * scale
 
 
-def test_cartesian_matches_angular():
-    rng = np.random.default_rng(3)
-    sys, aniso, field = _random_setup(rng, two_s=11)
-    for _ in range(25):
-        theta = float(rng.uniform(0.0, math.pi))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        x = math.sin(theta) * math.cos(phi)
-        y = math.sin(theta) * math.sin(phi)
-        z_sign = 1 if math.cos(theta) >= 0.0 else -1
-        a = potential_cartesian(x, y, z_sign, sys, aniso, field)
-        b = potential_angular(theta, phi, sys, aniso, field)
-        assert abs(a - b) < 1e-10 * (1.0 + abs(b))
-
-
 def test_reduced_symmetries():
     # reflecting theta about the equator is the same as flipping the
     # longitudinal field and the trigonal term together; flipping the
@@ -184,15 +175,38 @@ def test_derivatives_match_finite_differences():
             potential_reduced(theta + h, rp, branch)
             - potential_reduced(theta - h, rp, branch)
         ) / (2.0 * h)
-        d1 = potential_reduced_d1(theta, rp, branch)
+        d1 = _derivative_at(theta, rp, branch, 1)
         assert abs(fd1 - d1) < 1e-6 * scale
         fd2 = (
             potential_reduced(theta + h, rp, branch)
             - 2.0 * potential_reduced(theta, rp, branch)
             + potential_reduced(theta - h, rp, branch)
         ) / h**2
-        d2 = potential_reduced_d2(theta, rp, branch)
+        d2 = _derivative_at(theta, rp, branch, 2)
         assert abs(fd2 - d2) < 1e-4 * scale
+
+
+def test_critical_values_match_array_potential():
+    # critical values come from the scalar series at the polished angle;
+    # potential_reduced evaluates the same coefficients on an array basis
+    rng = np.random.default_rng(606)
+    for two_s in (4, 10, 20, 60):
+        for _ in range(25):
+            rp = ReducedParams(
+                r1=rng.normal(), r2=rng.normal(), r3=rng.normal(),
+                r4=rng.normal() * 1e-2, r5=rng.normal() * 1e-2,
+                system=SpinSystem(two_s), offset=rng.normal() * two_s,
+            )
+            tol = 1e-12 * parameter_scale(rp)
+            points = landscape(rp).points
+            assert points
+            for p in points:
+                # landscape mirrors the phi = pi branch onto (pi, 2*pi)
+                if math.pi + _ls._POLE_TOL < p.theta < 2.0 * math.pi - _ls._POLE_TOL:
+                    value = potential_reduced(2.0 * math.pi - p.theta, rp, -1)
+                else:
+                    value = potential_reduced(p.theta, rp, 1)
+                assert abs(p.value - value) <= tol
 
 
 def test_critical_points_pure_quadratic():
@@ -206,7 +220,7 @@ def test_critical_points_pure_quadratic():
     assert kinds[0.0] == "minimum"
     assert kinds[round(math.pi / 2, 6)] == "maximum"
     for p in pts:
-        assert abs(potential_reduced_d1(p.theta, rp, 1)) < 1e-9
+        assert abs(_derivative_at(p.theta, rp, 1, 1)) < 1e-9
         if p.kind == "minimum":
             assert p.second_derivative > 0.0
         elif p.kind == "maximum":
@@ -282,22 +296,22 @@ def test_parameter_scale_floor():
 
 # Reference kernel: the per-sample bracket loop and the "two full
 # branches, then merge" landscape that the vectorised, owned-only scan
-# replaced. Kept as an oracle the way coherent_expectation is kept; the
-# arithmetic is unchanged, so results must agree with ==.
+# replaced. Kept as an oracle the way coherent_expectation is kept; it
+# is built on the same Fourier-series primitives, so results must agree
+# with ==.
 
 
 def _reference_critical_points(rp, branch):
-    b = _ls._check_branch(branch)
-    g = G_FACTOR
     samples = _ls.SCAN_SAMPLES
     scale = parameter_scale(rp)
     tol_root = 1e-12 * scale
     tol_flat = 1e-9 * scale
 
-    thetas, s1, c1, s2, c2, s4, c4 = _ls._trig_table(samples)
-    coef = _ls._d1_coefficients(rp, b, g)
-    c_s1, c_c1, c_s2, c_c2mc4, c_s4 = coef
-    d1 = c_s1 * s1 + c_c1 * c1 + c_s2 * s2 + c_c2mc4 * (c2 - c4) + c_s4 * s4
+    thetas = _ls._SCAN_THETAS
+    coef = _ls._coefficients(rp, branch, G_FACTOR)
+    c1 = _ls._derivative(coef)
+    c2 = _ls._derivative(c1)
+    d1 = _ls._SCAN_BASIS @ c1
 
     if float(np.max(np.abs(d1))) <= 1e-12 * scale:
         return []
@@ -315,7 +329,7 @@ def _reference_critical_points(rp, branch):
         if bb == 0.0:
             continue  # the node itself is appended on its own turn
         if (a > 0.0) != (bb > 0.0):
-            roots.append(_ls._polish_root(float(thetas[i]), hi, coef, tol_root))
+            roots.append(_ls._polish_root(float(thetas[i]), hi, c1, c2, tol_root))
 
     roots = [r % two_pi for r in roots]
     roots.sort()
@@ -329,14 +343,15 @@ def _reference_critical_points(rp, branch):
 
     points = []
     for r in merged:
-        curvature = _ls._d2_scalar(r, coef)
+        trig = _ls._trig(r)
+        curvature = _ls._series(c2, trig)
         if curvature > tol_flat:
             kind = "minimum"
         elif curvature < -tol_flat:
             kind = "maximum"
         else:
             kind = "inflection"
-        value = float(potential_reduced(r, rp, branch, g=g))
+        value = rp.offset + _ls._series(coef, trig)
         points.append(_ls.CriticalPoint(theta=r, value=value, kind=kind, second_derivative=curvature))
     return points
 
@@ -443,5 +458,6 @@ def test_polish_root_raises_when_iterations_run_out():
     # tolerance rules out the |V'| exit. Above 8 adjacent floats are
     # 1.8e-15 apart, so the bracket closes onto two of them but never
     # gets narrower than the 1e-15 floor.
+    sine = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        _ls._polish_root(9.0, 9.5, (1.0, 0.0, 0.0, 0.0, 0.0), -1.0)
+        _ls._polish_root(9.0, 9.5, sine, _ls._derivative(sine), -1.0)

@@ -102,6 +102,15 @@ def test_sweep_input_validation():
         sweep_crossings(_rp(), "bz", (-1.0, 1.0), samples=1)
 
 
+@pytest.mark.parametrize("refine_to", [0.0, -1.0, float("nan"), 1e-20])
+def test_sweep_rejects_unusable_refine_to(refine_to):
+    # zero, negative and tiny tolerances would bisect forever (below
+    # 2**-52 of a step float64 cannot split the edge fraction); nan
+    # would silently refine to half a step
+    with pytest.raises(ValueError, match="refine_to"):
+        sweep_crossings(_rp(r1=2.0), "bz", (-1.0, 1.0), samples=51, refine_to=refine_to)
+
+
 def test_plane_spec_validation():
     with pytest.raises(ValueError):
         PlaneSpec("bz", "bz", (-1, 1), (0, 3), 32, _rp())
