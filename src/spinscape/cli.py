@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from .compounds import Compound, catalog, dump_compound, load_compound, lookup
 from .eig import ConvergenceError
 from .landscape import ReducedParams, potential_reduced, reduce_params
 from .observables import fidelity_map, heatcap_map, spectra
-from .separatrix import PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
+from .separatrix import KINDS, PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
 from .spin import (
     MU_B_OVER_KB,
     FieldVector,
@@ -52,50 +52,62 @@ EXIT_NUMERIC = 3
 #: range flag that feeds each canonical axis
 _RANGE_FLAG = {"r1": "bx_range", "r2": "bz_range", "r3": "r3_range", "r4": "r4_range", "r5": "r5_range"}
 
+#: flags holding a field, a field window or a field increment, which --tesla converts
+_FIELD_FLAGS = ("bx", "by", "bz", "bz_range", "bx_range", "d_increment")
+
 
 class CliError(Exception):
     """A configuration problem the user can fix (exit code 2)."""
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
+# argparse type= converters; argparse names the flag in their error messages.
+
+
+def _range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise CliError(f"{flag} expects LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"bounds must be finite, got {text!r}")
     if not lo < hi:
-        raise CliError(f"{flag} needs LO < HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs LO < HI, got {text!r}")
     return lo, hi
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
+def _count(text: str) -> int:
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            pair = (n, n)
-        elif len(parts) == 2:
-            pair = (int(parts[0]), int(parts[1]))
-        else:
-            raise ValueError(text)
+        n = int(text)
     except ValueError:
-        raise CliError(f"--grid expects N or N1xN2, got {text!r}") from None
-    if pair[0] < 2 or pair[1] < 2:
-        raise CliError(f"--grid values must be at least 2, got {text!r}")
-    return pair
+        raise argparse.ArgumentTypeError(f"expects a number of points N, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
+    return n
 
 
-def _parse_temps(text: str) -> tuple[float, ...]:
+def _grid(text: str) -> tuple[int, int]:
+    parts = text.lower().split("x")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expects N or N1xN2, got {text!r}")
+    try:
+        counts = [_count(part) for part in parts]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"expects N or N1xN2, each at least 2, got {text!r}") from None
+    return counts[0], counts[-1]
+
+
+def _temps(text: str) -> tuple[float, ...]:
     try:
         temps = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise CliError(f"--temps: {exc}") from None
-    if not temps or any(not 0.0 < t < np.inf for t in temps):
-        raise CliError(f"--temps needs positive finite values, got {text!r}")
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if any(not 0.0 < t < np.inf for t in temps):
+        raise argparse.ArgumentTypeError(f"needs positive finite values, got {text!r}")
     if len(set(temps)) != len(temps):
-        raise CliError(f"--temps lists a temperature twice, got {text!r}")
+        raise argparse.ArgumentTypeError(f"lists a temperature twice, got {text!r}")
     return temps
 
 
@@ -147,8 +159,8 @@ def _require_compound(args: argparse.Namespace) -> Compound:
     return compound
 
 
-def _field_unit(args: argparse.Namespace) -> float:
-    return MU_B_OVER_KB if getattr(args, "tesla", False) else 1.0
+def _scaled(value: float | tuple[float, float], factor: float) -> float | tuple[float, float]:
+    return tuple(v * factor for v in value) if isinstance(value, tuple) else value * factor
 
 
 def _out_path(args: argparse.Namespace) -> Path:
@@ -195,9 +207,8 @@ def _write_plot_script(args: argparse.Namespace, out: Path, script: str) -> None
 
 def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> ReducedParams:
     """Fixed reduced parameters from compound, fixed fields, and overrides."""
-    unit = _field_unit(args)
-    bx = getattr(args, "bx", 0.0) * unit
-    bz = getattr(args, "bz", 0.0) * unit
+    bx = getattr(args, "bx", 0.0)
+    bz = getattr(args, "bz", 0.0)
     if compound is not None:
         rp = reduce_params(compound.system, compound.aniso, FieldVector(bx=bx, bz=bz))
     else:
@@ -214,11 +225,8 @@ def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> R
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     compound = _require_compound(args)
-    unit = _field_unit(args)
-    lo, hi = _parse_range(args.bz_range, "--bz-range")
-    lo, hi = lo * unit, hi * unit
-    n = _parse_grid(args.grid)[0]
-    bx, by = args.bx * unit, args.by * unit
+    lo, hi = args.bz_range
+    n, bx, by = args.grid, args.bx, args.by
     out = _out_path(args)
 
     system, aniso = compound.system, compound.aniso
@@ -241,13 +249,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if by == 0.0:
         rp = _reduced_from_args(args, compound)
         sweep = sweep_crossings(rp, "r2", (lo, hi))
-        cross_rows: list[list[object]] = []
-        for value in sweep.bifurcation_values:
-            cross_rows.append(["bifurcation", float(value)])
-        for value in sweep.maxwell_values:
-            cross_rows.append(["maxwell_minima", float(value)])
-        for value in sweep.maxwell_maxima_values:
-            cross_rows.append(["maxwell_maxima", float(value)])
+        cross_rows = [[kind, v] for kind, values in zip(KINDS, astuple(sweep)) for v in values]
         sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
         writers.write_table(
             sidecar,
@@ -265,7 +267,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_potential(args: argparse.Namespace) -> int:
     compound = _resolve_compound(args)
     rp = _reduced_from_args(args, compound)
-    n = _parse_grid(args.grid)[0]
+    n = args.grid
     out = _out_path(args)
 
     thetas = np.linspace(0.0, np.pi, n)
@@ -297,18 +299,11 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
     if len(names) != 2:
         raise CliError(f"--axes expects two comma-separated names, got {args.axes!r}")
     canon = [_canonical_axis(name) for name in names]
-    unit = _field_unit(args)
-    ranges = []
-    for name, axis in zip(names, canon):
-        flag = _RANGE_FLAG[axis]
-        text = getattr(args, flag, None)
-        if text is None:
-            raise CliError(f"axis {name!r} needs --{flag.replace('_', '-')}")
-        lo, hi = _parse_range(text, f"--{flag.replace('_', '-')}")
-        if axis in ("r1", "r2"):
-            lo, hi = lo * unit, hi * unit
-        ranges.append((lo, hi))
-    n1, n2 = _parse_grid(args.grid)
+    ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in canon]
+    for name, axis, window in zip(names, canon, ranges):
+        if window is None:
+            raise CliError(f"axis {name!r} needs --{_RANGE_FLAG[axis].replace('_', '-')}")
+    n1, n2 = args.grid
 
     plane = PlaneSpec(
         axis1=canon[0],
@@ -321,7 +316,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
     result = classify_cell_edges(plane)
 
     rows: list[list[object]] = []
-    for kind in ("bifurcation", "maxwell_minima", "maxwell_maxima"):
+    for kind in KINDS:
         for p, line in enumerate(getattr(result, kind)):
             for v, (a1, a2) in enumerate(line):
                 rows.append([kind, p, v, float(a1), float(a2)])
@@ -344,11 +339,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
 
 
 def _grid_axes(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
-    unit = _field_unit(args)
-    z_lo, z_hi = _parse_range(args.bz_range, "--bz-range")
-    x_lo, x_hi = _parse_range(args.bx_range, "--bx-range")
-    z_lo, z_hi, x_lo, x_hi = z_lo * unit, z_hi * unit, x_lo * unit, x_hi * unit
-    n_z, n_x = _parse_grid(args.grid)
+    (z_lo, z_hi), (x_lo, x_hi), (n_z, n_x) = args.bz_range, args.bx_range, args.grid
     meta = {
         "bz_range": f"{z_lo!r}:{z_hi!r}",
         "bx_range": f"{x_lo!r}:{x_hi!r}",
@@ -364,12 +355,8 @@ def _map_rows(bz: np.ndarray, bx: np.ndarray, values: np.ndarray) -> list[list[f
 def _cmd_fidelity_map(args: argparse.Namespace) -> int:
     compound = _require_compound(args)
     out = _out_path(args)
-    unit = _field_unit(args)
     bz, bx, meta = _grid_axes(args)
-    d = args.d_increment * unit
-    if not d > 0.0:
-        raise CliError(f"--d-increment must be positive, got {args.d_increment!r}")
-    by = args.by * unit
+    d, by = args.d_increment, args.by
 
     fmap = fidelity_map(
         compound.system, compound.aniso, bz, bx, by=by, axis=args.scan_axis, d=d
@@ -397,10 +384,8 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
 def _cmd_heatcap_map(args: argparse.Namespace) -> int:
     compound = _require_compound(args)
     out = _out_path(args)
-    unit = _field_unit(args)
     bz, bx, meta = _grid_axes(args)
-    temps = _parse_temps(args.temps)
-    by = args.by * unit
+    temps, by = args.temps, args.by
 
     maps = heatcap_map(compound.system, compound.aniso, bz, bx, temps, by=by)
     for t, values in zip(temps, maps):
@@ -499,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compound_flags(p)
     p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field (kelvin)")
     p.add_argument("--by", type=float, default=0.0, help="fixed transverse field (kelvin)")
-    p.add_argument("--bz-range", required=True, help="axial sweep window LO:HI")
-    p.add_argument("--grid", default="201", help="number of sweep points")
+    p.add_argument("--bz-range", type=_range, required=True, help="axial sweep window LO:HI")
+    p.add_argument("--grid", type=_count, default="201", help="number of sweep points")
     p.add_argument("--r-params", help="override reduced parameters for the crossings sidecar")
     _add_tesla_flag(p)
     _add_output_flags(p)
@@ -512,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bx", type=float, default=0.0, help="transverse field (kelvin)")
     p.add_argument("--bz", type=float, default=0.0, help="axial field (kelvin)")
     p.add_argument("--r-params", help="set reduced parameters directly, e.g. r3=-0.679,r4=0.0008")
-    p.add_argument("--grid", default="721", help="number of theta samples on [0, pi]")
+    p.add_argument("--grid", type=_count, default="721", help="number of theta samples on [0, pi]")
     _add_tesla_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_potential)
@@ -523,22 +508,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
     p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field when bx is not swept")
     p.add_argument("--bz", type=float, default=0.0, help="fixed axial field when bz is not swept")
-    p.add_argument("--bz-range", help="window for a swept bz axis, LO:HI")
-    p.add_argument("--bx-range", help="window for a swept bx axis, LO:HI")
-    p.add_argument("--r3-range", help="window for a swept r3 axis, LO:HI")
-    p.add_argument("--r4-range", help="window for a swept r4 axis, LO:HI")
-    p.add_argument("--r5-range", help="window for a swept r5 axis, LO:HI")
+    p.add_argument("--bz-range", type=_range, help="window for a swept bz axis, LO:HI")
+    p.add_argument("--bx-range", type=_range, help="window for a swept bx axis, LO:HI")
+    p.add_argument("--r3-range", type=_range, help="window for a swept r3 axis, LO:HI")
+    p.add_argument("--r4-range", type=_range, help="window for a swept r4 axis, LO:HI")
+    p.add_argument("--r5-range", type=_range, help="window for a swept r5 axis, LO:HI")
     p.add_argument("--r-params", help="override fixed reduced parameters")
-    p.add_argument("--grid", default="200", help="grid resolution N or N1xN2")
+    p.add_argument("--grid", type=_grid, default="200", help="grid resolution N or N1xN2")
     _add_tesla_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_separatrix)
 
     p = sub.add_parser("fidelity-map", help="ground-state fidelity on a (bz, bx) grid")
     _add_compound_flags(p)
-    p.add_argument("--bz-range", required=True, help="axial window LO:HI")
-    p.add_argument("--bx-range", required=True, help="transverse window LO:HI")
-    p.add_argument("--grid", default="101", help="grid resolution N or Nz x Nx (NzxNx)")
+    p.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
+    p.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
+    p.add_argument("--grid", type=_grid, default="101", help="grid resolution N or Nz x Nx (NzxNx)")
     p.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
     p.add_argument("--scan-axis", choices=("bx", "by", "bz"), default="bz", help="fidelity increment axis")
     p.add_argument("--d-increment", type=float, default=0.001, help="half-step of the fidelity stencil")
@@ -548,11 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatcap-map", help="heat capacity on a (bz, bx) grid")
     _add_compound_flags(p)
-    p.add_argument("--bz-range", required=True, help="axial window LO:HI")
-    p.add_argument("--bx-range", required=True, help="transverse window LO:HI")
-    p.add_argument("--grid", default="101", help="grid resolution N or NzxNx")
+    p.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
+    p.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
+    p.add_argument("--grid", type=_grid, default="101", help="grid resolution N or NzxNx")
     p.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
-    p.add_argument("--temps", required=True, help="comma-separated temperatures in kelvin")
+    p.add_argument("--temps", type=_temps, required=True, help="comma-separated temperatures in kelvin")
     _add_tesla_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_heatcap_map)
@@ -572,15 +557,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_CONFIG
+    if getattr(args, "tesla", False):
+        for flag in _FIELD_FLAGS:
+            value = getattr(args, flag, None)
+            if value is not None:
+                setattr(args, flag, _scaled(value, MU_B_OVER_KB))
     try:
         return int(args.handler(args))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,10 @@ MAXWELL_REFINE = 1e-8
 
 #: Linking radius for chaining refined points into polylines, in cells.
 LINK_RADIUS = 2.0
+
+#: Separatrix kinds, in the order of the fields of SeparatrixSet and
+#: SweepResult.
+KINDS = ("bifurcation", "maxwell_minima", "maxwell_maxima")
 
 
 def _canonical_axis(name: str) -> str:
@@ -143,6 +148,10 @@ class _Feature:
     max_pair: Pair | None
 
 
+#: The landscape summary at a fraction t in [0, 1] along one edge.
+FeatureAt = Callable[[float], _Feature]
+
+
 def _theta_ordered(a: CriticalPoint, b: CriticalPoint) -> Pair:
     return (a, b) if a.theta <= b.theta else (b, a)
 
@@ -176,35 +185,11 @@ def _delta(pair: Pair) -> float:
     return pair[0].value - pair[1].value
 
 
-class _Edge:
-    """One grid edge with lazy landscape evaluation along it."""
-
-    def __init__(
-        self,
-        rp_lo: ReducedParams,
-        axis: str,
-        v_lo: float,
-        v_hi: float,
-        g: float,
-    ) -> None:
-        self._rp = rp_lo
-        self._axis = axis
-        self._v_lo = v_lo
-        self._v_hi = v_hi
-        self._g = g
-
-    def value_at(self, t: float) -> float:
-        return self._v_lo + t * (self._v_hi - self._v_lo)
-
-    def feature_at(self, t: float) -> _Feature:
-        return _feature(_with_value(self._rp, self._axis, self.value_at(t)), self._g)
-
-
-def _refine_count_change(edge: _Edge, ref_counts: tuple[int, int], tol_t: float) -> float:
+def _refine_count_change(feature_at: FeatureAt, ref_counts: tuple[int, int], tol_t: float) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = edge.feature_at(mid)
+        fm = feature_at(mid)
         if not fm.degenerate and fm.counts == ref_counts:
             lo = mid
         else:
@@ -213,14 +198,14 @@ def _refine_count_change(edge: _Edge, ref_counts: tuple[int, int], tol_t: float)
 
 
 def _tracked(
-    edge: _Edge,
+    feature_at: FeatureAt,
     t: float,
     ref: Pair,
     ref_counts: tuple[int, int],
     which: str,
 ) -> Pair | None:
     """The pair at edge fraction t aligned onto ref, or None if tracking breaks there."""
-    fm = edge.feature_at(t)
+    fm = feature_at(t)
     pair = getattr(fm, which)
     if fm.degenerate or fm.counts != ref_counts or pair is None:
         return None
@@ -228,7 +213,7 @@ def _tracked(
 
 
 def _refine_tracking_failure(
-    edge: _Edge,
+    feature_at: FeatureAt,
     ref_counts: tuple[int, int],
     ref_pair: Pair,
     which: str,
@@ -239,7 +224,7 @@ def _refine_tracking_failure(
     ref = ref_pair
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        matched = _tracked(edge, mid, ref, ref_counts, which)
+        matched = _tracked(feature_at, mid, ref, ref_counts, which)
         if matched is not None:
             lo = mid
             ref = matched
@@ -249,7 +234,7 @@ def _refine_tracking_failure(
 
 
 def _refine_maxwell(
-    edge: _Edge,
+    feature_at: FeatureAt,
     ref_pair: Pair,
     ref_counts: tuple[int, int],
     which: str,
@@ -280,7 +265,7 @@ def _refine_maxwell(
             secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             if lo < secant < hi:
                 t = secant
-        matched = _tracked(edge, t, ref, ref_counts, which)
+        matched = _tracked(feature_at, t, ref, ref_counts, which)
         if matched is None:
             # the structure shifted under us; close in from the far side
             hi, f_hi, last_moved = t, None, ""
@@ -302,7 +287,7 @@ def _refine_maxwell(
 
 
 def _classify_edge(
-    edge: _Edge,
+    feature_at: FeatureAt,
     fa: _Feature,
     fb: _Feature,
     scale: float,
@@ -313,7 +298,7 @@ def _classify_edge(
     if fa.degenerate or fb.degenerate:
         return []
     if fa.counts != fb.counts:
-        return [("bifurcation", _refine_count_change(edge, fa.counts, tol_bif))]
+        return [("bifurcation", _refine_count_change(feature_at, fa.counts, tol_bif))]
 
     events: list[tuple[str, float]] = []
     tol_dv = 1e-10 * scale
@@ -327,7 +312,7 @@ def _classify_edge(
             # birth or death of a tracked well with unchanged totals:
             # still a change of landscape character, filed as bifurcation
             events.append(
-                ("bifurcation", _refine_tracking_failure(edge, fa.counts, pa, which, tol_bif))
+                ("bifurcation", _refine_tracking_failure(feature_at, fa.counts, pa, which, tol_bif))
             )
             continue
         d_lo = _delta(pa)
@@ -344,8 +329,29 @@ def _classify_edge(
                 events.append((category, 0.0))
         elif d_hi != 0.0 and (d_lo > 0.0) != (d_hi > 0.0):
             events.append(
-                (category, _refine_maxwell(edge, pa, fa.counts, which, d_lo, d_hi, tol_mx, tol_dv))
+                (category, _refine_maxwell(feature_at, pa, fa.counts, which, d_lo, d_hi, tol_mx, tol_dv))
             )
+    return events
+
+
+def _line_events(
+    fixed: ReducedParams, axis: str, values: np.ndarray, feats: list[_Feature],
+    g: float, scale: float, tol_bif: float, tol_mx: float,
+) -> list[tuple[str, float]]:
+    """(kind, axis value) of every event on the edges of one line of nodes.
+
+    The line runs along axis through values, with every other
+    parameter taken from fixed; feats[i] summarizes node i.
+    """
+    events: list[tuple[str, float]] = []
+    for i in range(len(values) - 1):
+        v_lo, v_hi = float(values[i]), float(values[i + 1])
+
+        def feature_at(t: float) -> _Feature:
+            return _feature(_with_value(fixed, axis, v_lo + t * (v_hi - v_lo)), g)
+
+        for kind, t in _classify_edge(feature_at, feats[i], feats[i + 1], scale, tol_bif, tol_mx):
+            events.append((kind, v_lo + t * (v_hi - v_lo)))
     return events
 
 
@@ -419,37 +425,21 @@ def classify_cell_edges(plane: PlaneSpec, *, g: float = G_FACTOR) -> SeparatrixS
         base = _with_value(plane.fixed, axis1, v1)
         features.append([_feature(_with_value(base, axis2, v2), g) for v2 in vals2])
 
-    collected: dict[str, list[tuple[float, float]]] = {
-        "bifurcation": [],
-        "maxwell_minima": [],
-        "maxwell_maxima": [],
-    }
-
-    # edges along axis1
-    for i2 in range(n2):
-        for i1 in range(n1 - 1):
-            fa, fb = features[i1][i2], features[i1 + 1][i2]
-            base = _with_value(plane.fixed, axis2, vals2[i2])
-            edge = _Edge(base, axis1, vals1[i1], vals1[i1 + 1], g)
-            for category, t in _classify_edge(edge, fa, fb, scale, BIFURCATION_REFINE, MAXWELL_REFINE):
-                collected[category].append((edge.value_at(t), float(vals2[i2])))
-
-    # edges along axis2
-    for i1 in range(n1):
-        for i2 in range(n2 - 1):
-            fa, fb = features[i1][i2], features[i1][i2 + 1]
-            base = _with_value(plane.fixed, axis1, vals1[i1])
-            edge = _Edge(base, axis2, vals2[i2], vals2[i2 + 1], g)
-            for category, t in _classify_edge(edge, fa, fb, scale, BIFURCATION_REFINE, MAXWELL_REFINE):
-                collected[category].append((float(vals1[i1]), edge.value_at(t)))
+    collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
+    tols = (BIFURCATION_REFINE, MAXWELL_REFINE)
+    for i2, v2 in enumerate(vals2):
+        line = _with_value(plane.fixed, axis2, v2)
+        feats = [row[i2] for row in features]
+        for kind, v1 in _line_events(line, axis1, vals1, feats, g, scale, *tols):
+            collected[kind].append((v1, float(v2)))
+    for i1, v1 in enumerate(vals1):
+        line = _with_value(plane.fixed, axis1, v1)
+        for kind, v2 in _line_events(line, axis2, vals2, features[i1], g, scale, *tols):
+            collected[kind].append((float(v1), v2))
 
     cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
     cell2 = (plane.range2[1] - plane.range2[0]) / (n2 - 1)
-    return SeparatrixSet(
-        bifurcation=_link_polylines(collected["bifurcation"], cell1, cell2),
-        maxwell_minima=_link_polylines(collected["maxwell_minima"], cell1, cell2),
-        maxwell_maxima=_link_polylines(collected["maxwell_maxima"], cell1, cell2),
-    )
+    return SeparatrixSet(**{kind: _link_polylines(collected[kind], cell1, cell2) for kind in KINDS})
 
 
 def sweep_crossings(
@@ -488,18 +478,7 @@ def sweep_crossings(
     tol_t = min(0.5, refine_to / step)
 
     feats = [_feature(_with_value(fixed, axis_name, v), g) for v in values]
-    found: dict[str, list[float]] = {
-        "bifurcation": [],
-        "maxwell_minima": [],
-        "maxwell_maxima": [],
-    }
-    for i in range(samples - 1):
-        edge = _Edge(fixed, axis_name, float(values[i]), float(values[i + 1]), g)
-        for category, t in _classify_edge(edge, feats[i], feats[i + 1], scale, tol_t, tol_t):
-            found[category].append(edge.value_at(t))
-
-    return SweepResult(
-        bifurcation_values=tuple(sorted(found["bifurcation"])),
-        maxwell_values=tuple(sorted(found["maxwell_minima"])),
-        maxwell_maxima_values=tuple(sorted(found["maxwell_maxima"])),
-    )
+    found: dict[str, list[float]] = {kind: [] for kind in KINDS}
+    for kind, value in _line_events(fixed, axis_name, values, feats, g, scale, tol_t, tol_t):
+        found[kind].append(value)
+    return SweepResult(*(tuple(sorted(found[kind])) for kind in KINDS))

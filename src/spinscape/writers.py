@@ -15,6 +15,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .separatrix import KINDS
+
 Cell = Any
 Row = Sequence[Cell]
 
@@ -119,10 +121,9 @@ def gnuplot_map_script(data_path: str, title: str) -> str:
 
 def gnuplot_separatrix_script(data_path: str, title: str) -> str:
     """Plot script for the kind-tagged polyline tables."""
-    kinds = ("bifurcation", "maxwell_minima", "maxwell_maxima")
     parts = [
         f"'{data_path}' using (strcol(1) eq '{kind}' ? $4 : NaN):5 with points pt 7 ps 0.4 title '{kind}'"
-        for kind in kinds
+        for kind in KINDS
     ]
     return (
         "set datafile separator ','\n"

@@ -151,7 +151,7 @@ def test_unreadable_compound_file(tmp_path):
     assert code == 2
 
 
-def test_bad_ranges_and_grids(tmp_path):
+def test_bad_ranges_and_grids(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert cli.main(["spectrum", "--compound", "3", "--bz-range", "1:-1", "--out", out]) == 2
     assert cli.main(["spectrum", "--compound", "3", "--bz-range", "zz", "--out", out]) == 2
@@ -160,6 +160,21 @@ def test_bad_ranges_and_grids(tmp_path):
         "fidelity-map", "--compound", "3", "--bz-range", "0:1",
         "--bx-range", "0:1", "--grid", "3x", "--out", out,
     ]) == 2
+    # one-dimensional commands take a single point count
+    assert cli.main(["spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "7x300", "--out", out]) == 2
+    assert cli.main(["potential", "--compound", "3", "--grid", "5x9", "--out", out]) == 2
+    capsys.readouterr()
+    # non-finite bounds are rejected by name before any work is done
+    for argv, flag in [
+        (["spectrum", "--compound", "3", "--bz-range=0:inf"], "--bz-range"),
+        (["fidelity-map", "--compound", "3", "--bz-range", "0:1", "--bx-range=0:inf"], "--bx-range"),
+        (["separatrix", "--compound", "3", "--axes", "bz,r3", "--bz-range=-inf:1",
+          "--r3-range=-0.9:-0.2", "--grid", "16"], "--bz-range"),
+    ]:
+        assert cli.main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_flag_exits_2(tmp_path, capsys):
@@ -262,19 +277,54 @@ def test_separatrix_unknown_axis_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# Each case: a subcommand's fixed flags, and its field flags with values
+# in tesla (a pair is a LO:HI window). The kelvin run must write the
+# same files byte for byte, headers included.
+_TESLA_CASES = [
+    (["potential", "--compound", "3", "--grid", "32"], {"--bz": 0.5, "--bx": 0.8}),
+    (["spectrum", "--compound", "3-trigonal", "--grid", "9"],
+     {"--bx": 0.3, "--bz-range": (-3.0, 3.0)}),
+    (["spectrum", "--compound", "3", "--grid", "9"],
+     {"--bx": 0.3, "--by": 0.1, "--bz-range": (-1.5, 1.5)}),
+    (["separatrix", "--compound", "3-trigonal", "--axes", "bz,r3",
+      "--r3-range=-0.9:-0.2", "--grid", "16"],
+     {"--bx": 0.3, "--bz-range": (-0.5, 0.5)}),
+    (["separatrix", "--compound", "3-trigonal", "--axes", "bx,r3",
+      "--r3-range=-0.9:-0.2", "--grid", "16"],
+     {"--bz": 0.05, "--bx-range": (0.2, 2.0)}),
+    (["fidelity-map", "--compound", "3-trigonal", "--grid", "4x3"],
+     {"--bz-range": (-0.1, 0.4), "--bx-range": (2.0, 2.2), "--by": 0.01, "--d-increment": 0.002}),
+    (["heatcap-map", "--compound", "3-trigonal", "--grid", "4x3", "--temps", "0.05"],
+     {"--bz-range": (-0.1, 0.4), "--bx-range": (2.0, 2.2), "--by": 0.01}),
+]
+
+
+def _field_args(fields, factor):
+    args = []
+    for flag, value in fields.items():
+        if isinstance(value, tuple):
+            args.append(f"{flag}={value[0] * factor!r}:{value[1] * factor!r}")
+        else:
+            args.append(f"{flag}={value * factor!r}")
+    return args
+
+
 def test_tesla_rescales_fields(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    bz_t = 0.5
-    assert cli.main([
-        "potential", "--compound", "3", "--bz", str(bz_t), "--tesla",
-        "--grid", "32", "--out", str(a),
-    ]) == 0
-    assert cli.main([
-        "potential", "--compound", "3", "--bz", repr(bz_t * MU_B_OVER_KB),
-        "--grid", "32", "--out", str(b),
-    ]) == 0
-    assert _data_lines(a) == _data_lines(b)
+    for i, (base, fields) in enumerate(_TESLA_CASES):
+        runs = []
+        for tesla in (True, False):
+            d = tmp_path / f"{i}-{'tesla' if tesla else 'kelvin'}"
+            d.mkdir()
+            if tesla:
+                argv = base + _field_args(fields, 1.0) + ["--tesla"]
+            else:
+                argv = base + _field_args(fields, MU_B_OVER_KB)
+            assert cli.main(argv + ["--out", str(d / "out.csv")]) == 0, base
+            runs.append({p.name: p.read_bytes() for p in d.iterdir()})
+        assert runs[0] == runs[1], base
+        if base[0] == "spectrum" and "--by" not in fields:
+            crossings = runs[0]["out.crossings.csv"].decode()
+            assert "bifurcation" in crossings and "maxwell_minima" in crossings
 
 
 def test_plot_script_sidecar(tmp_path):
@@ -326,6 +376,17 @@ def test_heatcap_map_bad_temps_write_nothing(tmp_path, temps):
         "heatcap-map", "--compound", "3-trigonal",
         "--bz-range=-0.1:0.4", "--bx-range", "2.2:2.21", "--grid", "4x2",
         "--temps", temps, "--out", str(tmp_path / "c.csv"),
+    ])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("d", ["0", "-1", "nan", "inf"])
+def test_fidelity_map_bad_d_increment_writes_nothing(tmp_path, d):
+    code = cli.main([
+        "fidelity-map", "--compound", "3-trigonal",
+        "--bz-range", "0.13:0.15", "--bx-range", "2.2:2.21", "--grid", "3x2",
+        f"--d-increment={d}", "--out", str(tmp_path / "f.csv"),
     ])
     assert code == 2
     assert list(tmp_path.iterdir()) == []

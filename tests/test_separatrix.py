@@ -194,13 +194,13 @@ _COUNTS = (2, 2)
 _THETAS = (0.5, 2.5)
 
 
-def _bisect_maxwell(edge, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv):
+def _bisect_maxwell(feature_at, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv):
     lo, hi = 0.0, 1.0
     ref = ref_pair
     positive = d_lo > 0.0
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = edge.feature_at(mid)
+        fm = feature_at(mid)
         pair = getattr(fm, which)
         matched = None
         if not fm.degenerate and fm.counts == ref_counts and pair is not None:
@@ -246,7 +246,7 @@ class _ScriptedEdge:
     def refine(self):
         d_lo, d_hi = self.gap(0.0), self.gap(1.0)
         return _sep._refine_maxwell(
-            self, _pair(d_lo), _COUNTS, "min_pair", d_lo, d_hi, MAXWELL_REFINE, _TOL_DV
+            self.feature_at, _pair(d_lo), _COUNTS, "min_pair", d_lo, d_hi, MAXWELL_REFINE, _TOL_DV
         )
 
     def replay(self):
@@ -335,8 +335,11 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
         axis = str(rng.choice(["r1", "r2"]))
         which = str(rng.choice(["min_pair", "max_pair"]))
         a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
-        edge = _sep._Edge(rp, axis, a, b, G_FACTOR)
-        fa, fb = edge.feature_at(0.0), edge.feature_at(1.0)
+
+        def feature_at(t):
+            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)), G_FACTOR)
+
+        fa, fb = feature_at(0.0), feature_at(1.0)
         pa, pb = getattr(fa, which), getattr(fb, which)
         if fa.degenerate or fb.degenerate or fa.counts != fb.counts or pa is None or pb is None:
             continue
@@ -348,14 +351,14 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
             continue
         cases += 1
         tol_dv = 1e-10 * parameter_scale(rp)
-        args = (edge, pa, fa.counts, which, d_lo)
+        args = (feature_at, pa, fa.counts, which, d_lo)
         t_new = _sep._refine_maxwell(*args, d_hi, MAXWELL_REFINE, tol_dv)
         t_ref = _bisect_maxwell(*args, MAXWELL_REFINE, tol_dv)
         if abs(t_new - t_ref) <= MAXWELL_REFINE:
             continue
         # on a nearly flat gap both stop at a different |gap| <= tol_dv
         for t in (t_new, t_ref):
-            pair = _sep._match(pa, getattr(edge.feature_at(t), which))
+            pair = _sep._match(pa, getattr(feature_at(t), which))
             assert abs(_sep._delta(pair)) <= tol_dv
     assert cases >= 30
 
