@@ -23,6 +23,7 @@ from spinscape import (
     reduce_params,
     writers,
 )
+from spinscape.separatrix import KINDS
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -61,7 +62,7 @@ print(f"classifying a {plane.shape[0]}x{plane.shape[1]} window, be patient...")
 result = classify_cell_edges(plane)
 
 sep_rows = []
-for kind in ("bifurcation", "maxwell_minima", "maxwell_maxima"):
+for kind in KINDS:
     for p, line in enumerate(getattr(result, kind)):
         for v, (a, b) in enumerate(line):
             sep_rows.append([kind, p, v, float(a), float(b)])

@@ -16,11 +16,12 @@ Subcommands map one-to-one onto library capabilities:
   plain-text exchange format.
 
 Exit codes: 0 success, 2 configuration problem (bad flags, unknown
-compound, unreadable input), 3 numerical failure. All field inputs are
-kelvin by default; ``--tesla`` rescales field-like inputs (fixed field
-components, field ranges, the fidelity increment) by the g=2 conversion
-factor. Anisotropy-style inputs such as ``--r-params`` stay in kelvin
-either way.
+compound, unreadable input), 3 numerical failure. Each command returns
+its tables and ``main`` writes them, so a failure while computing
+writes nothing. All field inputs are kelvin by default; ``--tesla``
+rescales field-like inputs (fixed field components, field ranges, the
+fidelity increment) by the g=2 conversion factor. Anisotropy-style
+inputs such as ``--r-params`` stay in kelvin either way.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import argparse
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +59,17 @@ _FIELD_FLAGS = ("bx", "by", "bz", "bz_range", "bx_range", "d_increment")
 
 class CliError(Exception):
     """A configuration problem the user can fix (exit code 2)."""
+
+
+class _Table(NamedTuple):
+    """One output table; main adds the tool/command header and writes it."""
+
+    path: Path
+    command: str
+    settings: list[tuple[str, str]]
+    columns: list[str]
+    rows: list[list[object]]
+    plot_script: str | None = None
 
 
 # argparse type= converters; argparse names the flag in their error messages.
@@ -111,23 +123,26 @@ def _temps(text: str) -> tuple[float, ...]:
     return temps
 
 
-def _parse_r_params(text: str) -> dict[str, float]:
+def _r_params(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for chunk in text.split(","):
         if not chunk.strip():
             continue
         key, sep, value = chunk.partition("=")
         if not sep:
-            raise CliError(f"--r-params entries look like key=value, got {chunk!r}")
-        name = _canonical_axis(key.strip())
+            raise argparse.ArgumentTypeError(f"entries look like key=value, got {chunk!r}")
+        try:
+            name = _canonical_axis(key.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if name in out:
-            raise CliError(f"--r-params sets {name} twice")
+            raise argparse.ArgumentTypeError(f"sets {name} twice")
         try:
             out[name] = float(value)
         except ValueError as exc:
-            raise CliError(f"--r-params {name}: {exc}") from None
+            raise argparse.ArgumentTypeError(f"{name}: {exc}") from None
     if not out:
-        raise CliError("--r-params was given but empty")
+        raise argparse.ArgumentTypeError("sets no parameter")
     return out
 
 
@@ -169,12 +184,6 @@ def _out_path(args: argparse.Namespace) -> Path:
     return Path(args.out)
 
 
-def _header(command: str, settings: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
-    head = [("tool", f"spinscape {__version__}"), ("command", command)]
-    head.extend(settings)
-    return head
-
-
 def _compound_settings(compound: Compound) -> list[tuple[str, str]]:
     a = compound.aniso
     return [
@@ -200,11 +209,6 @@ def _reduced_settings(rp: ReducedParams) -> list[tuple[str, str]]:
     ]
 
 
-def _write_plot_script(args: argparse.Namespace, out: Path, script: str) -> None:
-    if getattr(args, "plot_script", False):
-        out.with_suffix(".gp").write_text(script, encoding="utf-8", newline="\n")
-
-
 def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> ReducedParams:
     """Fixed reduced parameters from compound, fixed fields, and overrides."""
     bx = getattr(args, "bx", 0.0)
@@ -214,20 +218,21 @@ def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> R
     else:
         system = SpinSystem(getattr(args, "two_s", 10))
         rp = ReducedParams(r1=bx, r2=bz, r3=0.0, r4=0.0, r5=0.0, system=system)
-    overrides = getattr(args, "r_params", None)
-    if overrides:
-        rp = replace(rp, **_parse_r_params(overrides))
+    if args.r_params is not None:
+        rp = replace(rp, **args.r_params)
     return rp
 
 
 # ---------------------------------------------------------------- spectrum
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
     compound = _require_compound(args)
     lo, hi = args.bz_range
     n, bx, by = args.grid, args.bx, args.by
     out = _out_path(args)
+    if by != 0.0 and args.r_params is not None:
+        raise CliError("--r-params only sets the .crossings sidecar, which needs --by 0")
 
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
@@ -243,28 +248,23 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         ("units", "kelvin"),
     ]
     columns = ["bz"] + [f"e{i}" for i in range(dim)]
-    writers.write_table(out, args.format, _header("spectrum", settings), columns, rows)
-    _write_plot_script(args, out, writers.gnuplot_lines_script(out.name, dim, "energy levels"))
+    script = writers.gnuplot_lines_script(out.name, dim, "energy levels")
+    tables = [_Table(out, "spectrum", settings, columns, rows, script)]
 
     if by == 0.0:
         rp = _reduced_from_args(args, compound)
         sweep = sweep_crossings(rp, "r2", (lo, hi))
         cross_rows = [[kind, v] for kind, values in zip(KINDS, astuple(sweep)) for v in values]
         sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
-        writers.write_table(
-            sidecar,
-            args.format,
-            _header("spectrum.crossings", settings + _reduced_settings(rp)),
-            ["kind", "bz"],
-            cross_rows,
-        )
-    return EXIT_OK
+        side_settings = settings + _reduced_settings(rp)
+        tables.append(_Table(sidecar, "spectrum.crossings", side_settings, ["kind", "bz"], cross_rows))
+    return tables
 
 
 # ---------------------------------------------------------------- potential
 
 
-def _cmd_potential(args: argparse.Namespace) -> int:
+def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
     compound = _resolve_compound(args)
     rp = _reduced_from_args(args, compound)
     n = args.grid
@@ -280,17 +280,14 @@ def _cmd_potential(args: argparse.Namespace) -> int:
 
     settings = (_compound_settings(compound) if compound else [("two_s", str(rp.system.two_s))])
     settings += _reduced_settings(rp) + [("grid", str(n))]
-    writers.write_table(
-        out, args.format, _header("potential", settings), ["theta", "v_plus", "v_minus"], rows
-    )
-    _write_plot_script(args, out, writers.gnuplot_lines_script(out.name, 2, "reduced potential"))
-    return EXIT_OK
+    script = writers.gnuplot_lines_script(out.name, 2, "reduced potential")
+    return [_Table(out, "potential", settings, ["theta", "v_plus", "v_minus"], rows, script)]
 
 
 # --------------------------------------------------------------- separatrix
 
 
-def _cmd_separatrix(args: argparse.Namespace) -> int:
+def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
     compound = _resolve_compound(args)
     rp = _reduced_from_args(args, compound)
     out = _out_path(args)
@@ -330,9 +327,8 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
         ("grid", f"{n1}x{n2}"),
     ]
     columns = ["kind", "polyline", "vertex", names[0], names[1]]
-    writers.write_table(out, args.format, _header("separatrix", settings), columns, rows)
-    _write_plot_script(args, out, writers.gnuplot_separatrix_script(out.name, "separatrix"))
-    return EXIT_OK
+    script = writers.gnuplot_separatrix_script(out.name, "separatrix")
+    return [_Table(out, "separatrix", settings, columns, rows, script)]
 
 
 # ------------------------------------------------------------- fidelity map
@@ -352,7 +348,7 @@ def _map_rows(bz: np.ndarray, bx: np.ndarray, values: np.ndarray) -> list[list[f
     return np.column_stack([np.tile(bz, bx.size), np.repeat(bx, bz.size), values.T.ravel()]).tolist()
 
 
-def _cmd_fidelity_map(args: argparse.Namespace) -> int:
+def _cmd_fidelity_map(args: argparse.Namespace) -> list[_Table]:
     compound = _require_compound(args)
     out = _out_path(args)
     bz, bx, meta = _grid_axes(args)
@@ -367,27 +363,22 @@ def _cmd_fidelity_map(args: argparse.Namespace) -> int:
         ("d_increment", repr(d)),
         *meta.items(),
     ]
-    writers.write_table(
-        out,
-        args.format,
-        _header("fidelity-map", settings),
-        ["bz", "bx", "fidelity"],
-        _map_rows(bz, bx, fmap.values),
-    )
-    _write_plot_script(args, out, writers.gnuplot_map_script(out.name, "ground-state fidelity"))
-    return EXIT_OK
+    rows = _map_rows(bz, bx, fmap.values)
+    script = writers.gnuplot_map_script(out.name, "ground-state fidelity")
+    return [_Table(out, "fidelity-map", settings, ["bz", "bx", "fidelity"], rows, script)]
 
 
 # ------------------------------------------------------------ heat capacity
 
 
-def _cmd_heatcap_map(args: argparse.Namespace) -> int:
+def _cmd_heatcap_map(args: argparse.Namespace) -> list[_Table]:
     compound = _require_compound(args)
     out = _out_path(args)
     bz, bx, meta = _grid_axes(args)
     temps, by = args.temps, args.by
 
     maps = heatcap_map(compound.system, compound.aniso, bz, bx, temps, by=by)
+    tables: list[_Table] = []
     for t, values in zip(temps, maps):
         if len(temps) == 1:
             path = out
@@ -398,21 +389,16 @@ def _cmd_heatcap_map(args: argparse.Namespace) -> int:
             ("temperature", repr(float(t))),
             *meta.items(),
         ]
-        writers.write_table(
-            path,
-            args.format,
-            _header("heatcap-map", settings),
-            ["bz", "bx", "heat_capacity"],
-            _map_rows(bz, bx, values),
-        )
-        _write_plot_script(args, path, writers.gnuplot_map_script(path.name, f"heat capacity, T={t!r} K"))
-    return EXIT_OK
+        rows = _map_rows(bz, bx, values)
+        script = writers.gnuplot_map_script(path.name, f"heat capacity, T={t!r} K")
+        tables.append(_Table(path, "heatcap-map", settings, ["bz", "bx", "heat_capacity"], rows, script))
+    return tables
 
 
 # ---------------------------------------------------------------- compounds
 
 
-def _cmd_compounds(args: argparse.Namespace) -> int:
+def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
     if args.export:
         try:
             compound = lookup(args.export)
@@ -420,7 +406,7 @@ def _cmd_compounds(args: argparse.Namespace) -> int:
             raise CliError(str(exc.args[0])) from None
         out = _out_path(args)
         out.write_text(dump_compound(compound), encoding="utf-8", newline="\n")
-        return EXIT_OK
+        return []
 
     fmt = "{:<12} {:>3} {:>9} {:>8} {:>12} {:>12} {:>8} {:>12}  {}"
     print(fmt.format("id", "2S", "d/K", "e/K", "b40/K", "b42/K", "b43/K", "b44/K", "source"))
@@ -439,7 +425,7 @@ def _cmd_compounds(args: argparse.Namespace) -> int:
                 c.source,
             )
         )
-    return EXIT_OK
+    return []
 
 
 # ------------------------------------------------------------------ parser
@@ -486,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", type=float, default=0.0, help="fixed transverse field (kelvin)")
     p.add_argument("--bz-range", type=_range, required=True, help="axial sweep window LO:HI")
     p.add_argument("--grid", type=_count, default="201", help="number of sweep points")
-    p.add_argument("--r-params", help="override reduced parameters for the crossings sidecar")
+    p.add_argument("--r-params", type=_r_params, help="override reduced parameters for the sidecar (--by 0)")
     _add_tesla_flag(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_spectrum)
@@ -496,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-s", type=int, default=10, help="2S when no compound is given")
     p.add_argument("--bx", type=float, default=0.0, help="transverse field (kelvin)")
     p.add_argument("--bz", type=float, default=0.0, help="axial field (kelvin)")
-    p.add_argument("--r-params", help="set reduced parameters directly, e.g. r3=-0.679,r4=0.0008")
+    p.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
     p.add_argument("--grid", type=_count, default="721", help="number of theta samples on [0, pi]")
     _add_tesla_flag(p)
     _add_output_flags(p)
@@ -513,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r3-range", type=_range, help="window for a swept r3 axis, LO:HI")
     p.add_argument("--r4-range", type=_range, help="window for a swept r4 axis, LO:HI")
     p.add_argument("--r5-range", type=_range, help="window for a swept r5 axis, LO:HI")
-    p.add_argument("--r-params", help="override fixed reduced parameters")
+    p.add_argument("--r-params", type=_r_params, help="override fixed reduced parameters")
     p.add_argument("--grid", type=_grid, default="200", help="grid resolution N or N1xN2")
     _add_tesla_flag(p)
     _add_output_flags(p)
@@ -563,13 +549,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is not None:
                 setattr(args, flag, _scaled(value, MU_B_OVER_KB))
     try:
-        return int(args.handler(args))
+        # every table is computed before the first file is written
+        for table in args.handler(args):
+            head = [("tool", f"spinscape {__version__}"), ("command", table.command), *table.settings]
+            writers.write_table(table.path, args.format, head, table.columns, table.rows)
+            if args.plot_script and table.plot_script is not None:
+                table.path.with_suffix(".gp").write_text(table.plot_script, encoding="utf-8", newline="\n")
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ on these curves, so together they form the separatrix that organizes
 the phase diagram.
 
 Everything here is numerical: grid scan, edge classification, and
-edge refinement. A Maxwell edge is refined by a bracketed secant
-(Illinois regula falsi) on the energy gap of the tracked pair, which
-is smooth along the edge; a change in the number of stationary points
-has no such indicator and is bisected. No closed-form discriminants
-are used, which keeps the machinery correct for the full
-five-parameter potential.
+edge refinement. One bracketed secant (Illinois regula falsi) refines
+every edge event. A Maxwell edge feeds it the energy gap of the
+tracked pair; a change in the number of stationary points, or a lost
+well, has no such gap and feeds a constant that stops at the event,
+which makes the secant a bisection. No closed-form discriminants are
+used, which keeps the machinery correct for the full five-parameter
+potential.
 """
 from __future__ import annotations
 
@@ -151,6 +152,10 @@ class _Feature:
 #: The landscape summary at a fraction t in [0, 1] along one edge.
 FeatureAt = Callable[[float], _Feature]
 
+#: The signed indicator of one edge event at a fraction t in [0, 1], or
+#: None where the structure tracked from t = 0 is lost.
+GapAt = Callable[[float], float | None]
+
 
 def _theta_ordered(a: CriticalPoint, b: CriticalPoint) -> Pair:
     return (a, b) if a.theta <= b.theta else (b, a)
@@ -185,79 +190,19 @@ def _delta(pair: Pair) -> float:
     return pair[0].value - pair[1].value
 
 
-def _refine_count_change(feature_at: FeatureAt, ref_counts: tuple[int, int], tol_t: float) -> float:
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        fm = feature_at(mid)
-        if not fm.degenerate and fm.counts == ref_counts:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _refine(gap_at: GapAt, d_lo: float, d_hi: float | None, tol_t: float, tol_dv: float) -> float:
+    """Locate the sign change of gap_at, which is d_lo at t = 0 and d_hi at t = 1.
 
-
-def _tracked(
-    feature_at: FeatureAt,
-    t: float,
-    ref: Pair,
-    ref_counts: tuple[int, int],
-    which: str,
-) -> Pair | None:
-    """The pair at edge fraction t aligned onto ref, or None if tracking breaks there."""
-    fm = feature_at(t)
-    pair = getattr(fm, which)
-    if fm.degenerate or fm.counts != ref_counts or pair is None:
-        return None
-    return _match(ref, pair)
-
-
-def _refine_tracking_failure(
-    feature_at: FeatureAt,
-    ref_counts: tuple[int, int],
-    ref_pair: Pair,
-    which: str,
-    tol_t: float,
-) -> float:
-    """Locate where well identity is lost along an edge with fixed counts."""
-    lo, hi = 0.0, 1.0
-    ref = ref_pair
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        matched = _tracked(feature_at, mid, ref, ref_counts, which)
-        if matched is not None:
-            lo = mid
-            ref = matched
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _refine_maxwell(
-    feature_at: FeatureAt,
-    ref_pair: Pair,
-    ref_counts: tuple[int, int],
-    which: str,
-    d_lo: float,
-    d_hi: float,
-    tol_t: float,
-    tol_dv: float,
-) -> float:
-    """Locate the zero of the tracked pair's gap along an edge.
-
-    Illinois regula falsi on the gap, which has the signs of d_lo and
-    d_hi at the two ends: each probe is the secant zero of the current
+    Illinois regula falsi: each probe is the secant zero of the current
     bracket, or its midpoint when that zero is not strictly inside, and
-    an end kept twice in a row has its gap halved. A probe where
-    tracking breaks becomes the far end with an unknown gap, so the
-    probes bisect until a tracked one beyond the zero supplies a gap
-    again. Stops at a probe with |gap| <= tol_dv or once the bracket is
-    no wider than tol_t.
+    an end kept twice in a row has its gap halved. A probe where gap_at
+    is None becomes the far end with an unknown gap, as t = 1 is when
+    d_hi is None, so the probes bisect until a probe beyond the zero
+    supplies a gap again. Stops at a probe with |gap| <= tol_dv or once
+    the bracket is no wider than tol_t.
     """
     lo, hi = 0.0, 1.0
-    f_lo = d_lo
-    f_hi: float | None = d_hi  # None while hi lost tracking
-    ref = ref_pair
+    f_lo, f_hi = d_lo, d_hi
     last_moved = ""
     while hi - lo > tol_t:
         t = 0.5 * (lo + hi)
@@ -265,25 +210,52 @@ def _refine_maxwell(
             secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             if lo < secant < hi:
                 t = secant
-        matched = _tracked(feature_at, t, ref, ref_counts, which)
-        if matched is None:
+        gap = gap_at(t)
+        if gap is None:
             # the structure shifted under us; close in from the far side
             hi, f_hi, last_moved = t, None, ""
             continue
-        dvm = _delta(matched)
-        if abs(dvm) <= tol_dv:
+        if abs(gap) <= tol_dv:
             return t
-        if (dvm > 0.0) == (f_lo > 0.0):
-            lo, f_lo, ref = t, dvm, matched
+        if (gap > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, gap
             if last_moved == "lo" and f_hi is not None:
                 f_hi *= 0.5
             last_moved = "lo"
         else:
-            hi, f_hi = t, dvm
+            hi, f_hi = t, gap
             if last_moved == "hi":
                 f_lo *= 0.5
             last_moved = "hi"
     return 0.5 * (lo + hi)
+
+
+def _tracked_gap(
+    feature_at: FeatureAt, counts: tuple[int, int], ref: Pair, which: str, gap: Callable[[Pair], float]
+) -> GapAt:
+    """gap(pair) of the pair which, tracked from ref at t = 0.
+
+    None where the counts change or the pair no longer matches ref. ref
+    moves only on probes whose gap keeps the sign of t = 0's, so it
+    stays on the near side of the event.
+    """
+    positive = gap(ref) > 0.0
+
+    def gap_at(t: float) -> float | None:
+        nonlocal ref
+        fm = feature_at(t)
+        pair = getattr(fm, which)
+        if fm.degenerate or fm.counts != counts or pair is None:
+            return None
+        matched = _match(ref, pair)
+        if matched is None:
+            return None
+        value = gap(matched)
+        if (value > 0.0) == positive:
+            ref = matched
+        return value
+
+    return gap_at
 
 
 def _classify_edge(
@@ -298,7 +270,12 @@ def _classify_edge(
     if fa.degenerate or fb.degenerate:
         return []
     if fa.counts != fb.counts:
-        return [("bifurcation", _refine_count_change(feature_at, fa.counts, tol_bif))]
+
+        def same_counts(t: float) -> float | None:
+            fm = feature_at(t)
+            return 1.0 if not fm.degenerate and fm.counts == fa.counts else None
+
+        return [("bifurcation", _refine(same_counts, 1.0, None, tol_bif, 0.0))]
 
     events: list[tuple[str, float]] = []
     tol_dv = 1e-10 * scale
@@ -311,9 +288,8 @@ def _classify_edge(
         if matched is None:
             # birth or death of a tracked well with unchanged totals:
             # still a change of landscape character, filed as bifurcation
-            events.append(
-                ("bifurcation", _refine_tracking_failure(feature_at, fa.counts, pa, which, tol_bif))
-            )
+            tracking = _tracked_gap(feature_at, fa.counts, pa, which, lambda pair: 1.0)
+            events.append(("bifurcation", _refine(tracking, 1.0, None, tol_bif, 0.0)))
             continue
         d_lo = _delta(pa)
         d_hi = _delta(matched)
@@ -328,9 +304,8 @@ def _classify_edge(
             if d_hi != 0.0:
                 events.append((category, 0.0))
         elif d_hi != 0.0 and (d_lo > 0.0) != (d_hi > 0.0):
-            events.append(
-                (category, _refine_maxwell(feature_at, pa, fa.counts, which, d_lo, d_hi, tol_mx, tol_dv))
-            )
+            gap_at = _tracked_gap(feature_at, fa.counts, pa, which, _delta)
+            events.append((category, _refine(gap_at, d_lo, d_hi, tol_mx, tol_dv)))
     return events
 
 
@@ -408,11 +383,12 @@ def classify_cell_edges(plane: PlaneSpec, *, g: float = G_FACTOR) -> SeparatrixS
 
     Each grid node's landscape is summarized once; each edge between
     adjacent nodes is classified by comparing the two summaries, and
-    edges carrying an event are refined: stationary-count changes by
-    bisection to 1e-6 of the axis range, Maxwell degeneracies by a
-    bracketed secant on the energy gap to 1e-8 of it (or to a gap
-    within 1e-10 of the energy scale). Refined points are chained into
-    polylines. Cells with a degenerate (flat) landscape are excluded.
+    edges carrying an event are refined by one bracketed secant:
+    stationary-count changes and lost wells bisect to 1e-6 of the axis
+    range, Maxwell degeneracies take secant steps on the energy gap to
+    1e-8 of it (or to a gap within 1e-10 of the energy scale). Refined
+    points are chained into polylines. Cells with a degenerate (flat)
+    landscape are excluded.
     """
     axis1 = _canonical_axis(plane.axis1)
     axis2 = _canonical_axis(plane.axis2)
@@ -455,8 +431,9 @@ def sweep_crossings(
 
     The one-dimensional analogue of ``classify_cell_edges``: sample the
     landscape along the axis, classify consecutive segments, and refine
-    each event as there (secant for Maxwell points, bisection for count
-    changes) down to refine_to (in the axis's own kelvin units).
+    each event with the same refiner (secant steps for Maxwell points,
+    bisection for count changes and lost wells) down to refine_to (in
+    the axis's own kelvin units).
 
     Raises:
         ValueError: if refine_to is not finite or is below 2**-52 of the

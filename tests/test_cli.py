@@ -117,12 +117,70 @@ def test_potential_with_r_params(tmp_path):
     assert abs(rows[-1, 1] - rows[-1, 2]) < 1e-12
 
 
-def test_r_params_errors(tmp_path):
+_R_PARAMS_COMMANDS = [
+    ["potential"],
+    ["spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "3"],
+    ["separatrix", "--compound", "3", "--axes", "bz,r3", "--bz-range=-0.5:0.5",
+     "--r3-range=-0.9:-0.2", "--grid", "16"],
+]
+
+
+def test_r_params_errors(tmp_path, capsys):
     out = str(tmp_path / "v.csv")
     assert cli.main(["potential", "--r-params", "r3=-1,r3=2", "--out", out]) == 2
     assert cli.main(["potential", "--r-params", "r9=-1", "--out", out]) == 2
     assert cli.main(["potential", "--r-params", "r3=abc", "--out", out]) == 2
     assert cli.main(["potential", "--r-params", "r3", "--out", out]) == 2
+    # every command that takes the flag rejects it by name at parse time
+    for base in _R_PARAMS_COMMANDS:
+        for value in ("r3=-1,r3=2", "r9=-1", "r3=abc", "r3", "", ","):
+            assert cli.main(base + [f"--r-params={value}", "--out", out]) == 2, (base[0], value)
+            assert "--r-params" in capsys.readouterr().err, (base[0], value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_rejects_r_params_off_the_bx_bz_plane(tmp_path, monkeypatch, capsys):
+    # with by != 0 there is no crossings sidecar for --r-params to set;
+    # the command refuses before it diagonalises anything
+    def refuse(h):
+        raise AssertionError("diagonalised before the flags were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    code = cli.main([
+        "spectrum", "--compound", "3", "--by", "0.1", "--bz-range", "0:1", "--grid", "3",
+        "--r-params", "r3=1", "--out", str(tmp_path / "f.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--r-params" in err and "--by" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _failing_sweep(*args, **kwargs):
+    raise ConvergenceError("synthetic failure in the crossings sweep")
+
+
+_SPECTRUM = ["spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "3"]
+_SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", "--grid", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sweep",
+    [
+        (_SPECTRUM + ["--r-params", "r9=1"], 2, None),
+        (_SPECTRUM, 3, _failing_sweep),
+        (_SEPARATRIX + ["--axes", "bz"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,r3"], 2, None),
+    ],
+    ids=["spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis", "separatrix-no-r3-range"],
+)
+def test_failed_command_writes_nothing(tmp_path, monkeypatch, argv, code, sweep):
+    # a command writes its files only once all of its tables are computed
+    if sweep is not None:
+        monkeypatch.setattr(cli, "sweep_crossings", sweep)
+    assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conflicting_compound_sources(tmp_path):

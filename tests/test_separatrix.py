@@ -16,7 +16,7 @@ from spinscape import (
     parameter_scale,
     sweep_crossings,
 )
-from spinscape.separatrix import MAXWELL_REFINE
+from spinscape.separatrix import BIFURCATION_REFINE, MAXWELL_REFINE
 from spinscape.spin import G_FACTOR
 
 S5 = SpinSystem(10)
@@ -185,8 +185,10 @@ def test_points_empty_kind():
 
 
 # ---------------------------------------------------------------------------
-# Maxwell-edge refinement. The bisection it replaced is kept here as the
-# reference the secant refiner is compared against.
+# Edge refinement. One refiner, _refine, locates every kind of event. The
+# bisections it replaced are kept here as the references it is compared
+# against: on Maxwell edges it must agree with the bisection on the gap,
+# on count-change and tracking-failure edges it must be that bisection.
 
 _sep = importlib.import_module("spinscape.separatrix")
 _TOL_DV = 1e-10
@@ -219,6 +221,55 @@ def _bisect_maxwell(feature_at, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv
     return 0.5 * (lo + hi)
 
 
+def _refine_count_change(feature_at, ref_counts, tol_t):
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        fm = feature_at(mid)
+        if not fm.degenerate and fm.counts == ref_counts:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _refine_tracking_failure(feature_at, ref_counts, ref_pair, which, tol_t):
+    lo, hi = 0.0, 1.0
+    ref = ref_pair
+    while hi - lo > tol_t:
+        mid = 0.5 * (lo + hi)
+        fm = feature_at(mid)
+        pair = getattr(fm, which)
+        matched = None
+        if not fm.degenerate and fm.counts == ref_counts and pair is not None:
+            matched = _sep._match(ref, pair)
+        if matched is not None:
+            lo = mid
+            ref = matched
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _random_edges(draws):
+    """Seeded random edges along r1 or r2: (params, pair kind, feature_at)."""
+    rng = np.random.default_rng(20240611)
+    for _ in range(draws):
+        rp = ReducedParams(
+            r1=float(rng.uniform(-2.0, 2.0)), r2=0.0, r3=float(rng.uniform(-1.0, -0.2)),
+            r4=float(rng.normal() * 1e-3), r5=float(rng.normal() * 0.05),
+            system=SpinSystem(int(rng.choice([4, 10, 20]))),
+        )
+        axis = str(rng.choice(["r1", "r2"]))
+        which = str(rng.choice(["min_pair", "max_pair"]))
+        a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
+
+        def feature_at(t, rp=rp, axis=axis, a=a, b=b):
+            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)), G_FACTOR)
+
+        yield rp, which, feature_at
+
+
 def _pair(gap, shift=0.0):
     return (
         CriticalPoint(_THETAS[0] + shift, gap, "minimum", 1.0),
@@ -245,9 +296,8 @@ class _ScriptedEdge:
 
     def refine(self):
         d_lo, d_hi = self.gap(0.0), self.gap(1.0)
-        return _sep._refine_maxwell(
-            self.feature_at, _pair(d_lo), _COUNTS, "min_pair", d_lo, d_hi, MAXWELL_REFINE, _TOL_DV
-        )
+        gap_at = _sep._tracked_gap(self.feature_at, _COUNTS, _pair(d_lo), "min_pair", _sep._delta)
+        return _sep._refine(gap_at, d_lo, d_hi, MAXWELL_REFINE, _TOL_DV)
 
     def replay(self):
         """Check each probe against the bracket the probes before it left.
@@ -324,21 +374,8 @@ def test_maxwell_refiner_bisects_after_tracking_loss(offset):
 
 
 def test_maxwell_secant_agrees_with_bisection_on_random_edges():
-    rng = np.random.default_rng(20240611)
     cases = 0
-    for _ in range(200):
-        rp = ReducedParams(
-            r1=float(rng.uniform(-2.0, 2.0)), r2=0.0, r3=float(rng.uniform(-1.0, -0.2)),
-            r4=float(rng.normal() * 1e-3), r5=float(rng.normal() * 0.05),
-            system=SpinSystem(int(rng.choice([4, 10, 20]))),
-        )
-        axis = str(rng.choice(["r1", "r2"]))
-        which = str(rng.choice(["min_pair", "max_pair"]))
-        a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
-
-        def feature_at(t):
-            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)), G_FACTOR)
-
+    for rp, which, feature_at in _random_edges(200):
         fa, fb = feature_at(0.0), feature_at(1.0)
         pa, pb = getattr(fa, which), getattr(fb, which)
         if fa.degenerate or fb.degenerate or fa.counts != fb.counts or pa is None or pb is None:
@@ -351,9 +388,9 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
             continue
         cases += 1
         tol_dv = 1e-10 * parameter_scale(rp)
-        args = (feature_at, pa, fa.counts, which, d_lo)
-        t_new = _sep._refine_maxwell(*args, d_hi, MAXWELL_REFINE, tol_dv)
-        t_ref = _bisect_maxwell(*args, MAXWELL_REFINE, tol_dv)
+        gap_at = _sep._tracked_gap(feature_at, fa.counts, pa, which, _sep._delta)
+        t_new = _sep._refine(gap_at, d_lo, d_hi, MAXWELL_REFINE, tol_dv)
+        t_ref = _bisect_maxwell(feature_at, pa, fa.counts, which, d_lo, MAXWELL_REFINE, tol_dv)
         if abs(t_new - t_ref) <= MAXWELL_REFINE:
             continue
         # on a nearly flat gap both stop at a different |gap| <= tol_dv
@@ -363,29 +400,80 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
     assert cases >= 30
 
 
-@pytest.mark.parametrize("r5, resolution", [(0.0, (21, 17)), (0.01, (24, 16))])
+def test_bisected_events_equal_the_old_bisections_on_random_edges():
+    # an event without a gap (count change, or a well lost with the
+    # counts unchanged) makes _refine a plain bisection, so the refined
+    # fraction must equal the old bisection's bit for bit
+    count_changes = tracking_failures = 0
+    for rp, _, feature_at in _random_edges(400):
+        fa, fb = feature_at(0.0), feature_at(1.0)
+        if fa.degenerate or fb.degenerate:
+            continue
+        events = _sep._classify_edge(
+            feature_at, fa, fb, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
+        )
+        if fa.counts != fb.counts:
+            count_changes += 1
+            assert events == [
+                ("bifurcation", _refine_count_change(feature_at, fa.counts, BIFURCATION_REFINE))
+            ]
+            continue
+        expected = [
+            _refine_tracking_failure(feature_at, fa.counts, getattr(fa, which), which, BIFURCATION_REFINE)
+            for which in ("min_pair", "max_pair")
+            if getattr(fa, which) is not None and getattr(fb, which) is not None
+            and _sep._match(getattr(fa, which), getattr(fb, which)) is None
+        ]
+        tracking_failures += len(expected)
+        assert [t for kind, t in events if kind == "bifurcation"] == expected
+    assert count_changes >= 50
+    assert tracking_failures >= 30
+
+
+def _refine_costs(monkeypatch, plane):
+    """[d_hi, landscape calls] of every _refine call on the plane."""
+    costs = []
+    state = {"refining": False}
+
+    def counting_landscape(*args, **kwargs):
+        if state["refining"]:
+            costs[-1][1] += 1
+        return landscape(*args, **kwargs)
+
+    refine = _sep._refine
+
+    def counting_refine(gap_at, d_lo, d_hi, tol_t, tol_dv):
+        costs.append([d_hi, 0])
+        state["refining"] = True
+        try:
+            return refine(gap_at, d_lo, d_hi, tol_t, tol_dv)
+        finally:
+            state["refining"] = False
+
+    monkeypatch.setattr(_sep, "landscape", counting_landscape)
+    monkeypatch.setattr(_sep, "_refine", counting_refine)
+    classify_cell_edges(plane)
+    return costs
+
+
+_COST_PLANES = [(0.0, (21, 17)), (0.01, (24, 16))]
+
+
+@pytest.mark.parametrize("r5, resolution", _COST_PLANES)
 def test_maxwell_refinement_landscape_calls_per_event(monkeypatch, r5, resolution):
     # r5 = 0 is the acceptance-8 plane; the bisection took ~20 landscape
     # calls per Maxwell event there and ~26 on the r5 = 0.01 plane
-    calls = {"refining": False, "landscape": 0, "events": 0}
-
-    def counting_landscape(*args, **kwargs):
-        calls["landscape"] += calls["refining"]
-        return landscape(*args, **kwargs)
-
-    refine = _sep._refine_maxwell
-
-    def counting_refine(*args, **kwargs):
-        calls["refining"] = True
-        calls["events"] += 1
-        try:
-            return refine(*args, **kwargs)
-        finally:
-            calls["refining"] = False
-
-    monkeypatch.setattr(_sep, "landscape", counting_landscape)
-    monkeypatch.setattr(_sep, "_refine_maxwell", counting_refine)
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
-    classify_cell_edges(plane)
-    assert calls["events"] > 0
-    assert calls["landscape"] <= 6 * calls["events"]
+    maxwell = [calls for d_hi, calls in _refine_costs(monkeypatch, plane) if d_hi is not None]
+    assert len(maxwell) > 0
+    assert sum(maxwell) <= 6 * len(maxwell)
+
+
+@pytest.mark.parametrize("r5, resolution", _COST_PLANES)
+def test_bifurcation_refinement_landscape_calls_per_event(monkeypatch, r5, resolution):
+    # a bisection from the whole edge down to BIFURCATION_REFINE = 1e-6
+    # halves the bracket 20 times, one landscape call each
+    plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
+    bifurcation = [calls for d_hi, calls in _refine_costs(monkeypatch, plane) if d_hi is None]
+    assert len(bifurcation) > 0
+    assert bifurcation == [20] * len(bifurcation)
