@@ -20,7 +20,8 @@ compound, unreadable input), 3 numerical failure. Each command returns
 its tables and ``main`` writes them, so a failure while computing
 writes nothing. All field inputs are kelvin by default; ``--tesla``
 rescales field-like inputs (fixed field components, field ranges, the
-fidelity increment) by the g=2 conversion factor. Anisotropy-style
+fidelity increment) by mu_B/k_B, about 0.6717 K/T; the Lande factor,
+fixed at g = 2 in the Hamiltonian, does not enter it. Anisotropy-style
 inputs such as ``--r-params`` stay in kelvin either way.
 """
 from __future__ import annotations
@@ -233,6 +234,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
     out = _out_path(args)
     if by != 0.0 and args.r_params is not None:
         raise CliError("--r-params only sets the .crossings sidecar, which needs --by 0")
+    for axis, owner in (("r1", "--bx sets it"), ("r2", "--bz-range sweeps it")):
+        if axis in (args.r_params or {}):
+            raise CliError(f"--r-params cannot set {axis}: {owner}")
 
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
@@ -298,8 +302,11 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
     canon = [_canonical_axis(name) for name in names]
     ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in canon]
     for name, axis, window in zip(names, canon, ranges):
+        flag = "--" + _RANGE_FLAG[axis].replace("_", "-")
         if window is None:
-            raise CliError(f"axis {name!r} needs --{_RANGE_FLAG[axis].replace('_', '-')}")
+            raise CliError(f"axis {name!r} needs {flag}")
+        if axis in (args.r_params or {}):
+            raise CliError(f"--r-params cannot set {axis}: the plane sweeps it over {flag}")
     n1, n2 = args.grid
 
     plane = PlaneSpec(
@@ -450,7 +457,7 @@ def _add_tesla_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tesla",
         action="store_true",
-        help="field inputs are tesla instead of kelvin (g=2 conversion)",
+        help="field inputs are tesla instead of kelvin (times mu_B/k_B, about 0.6717 K/T)",
     )
 
 

@@ -185,8 +185,6 @@ def coherent_expectation(
     system: SpinSystem,
     aniso: AnisotropyParams,
     field: FieldVector = FieldVector(),
-    *,
-    g: float = G_FACTOR,
 ) -> float:
     """Energy expectation in the atomic coherent state at (theta, phi).
 
@@ -206,7 +204,7 @@ def coherent_expectation(
         amps[k] = mag * complex(math.cos(k * phi), -math.sin(k * phi))
     # basis index i holds M = S - i, i.e. k = 2S - i raising steps
     state = amps[::-1].copy()
-    h = build_hamiltonian(system, aniso, field, g=g)
+    h = build_hamiltonian(system, aniso, field)
     return float(np.real(np.vdot(state, h @ state)))
 
 
@@ -216,8 +214,6 @@ def potential_angular(
     system: SpinSystem,
     aniso: AnisotropyParams,
     field: FieldVector = FieldVector(),
-    *,
-    g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64] | float:
     """Closed-form coherent-state energy surface on the sphere, in kelvin.
 
@@ -235,7 +231,7 @@ def potential_angular(
 
     v = aniso.d / 4.0 * s * (n - 1) * cos_2t
     v = v + aniso.e / 2.0 * s * (n - 1) * np.cos(2.0 * ph) * sin_t**2
-    v = v + g * s * (
+    v = v + G_FACTOR * s * (
         -field.bz * cos_t
         + field.bx * np.cos(ph) * sin_t
         + field.by * np.sin(ph) * sin_t
@@ -255,7 +251,7 @@ def potential_angular(
     return v
 
 
-def _coefficients(rp: ReducedParams, branch: int, g: float) -> tuple[float, ...]:
+def _coefficients(rp: ReducedParams, branch: int) -> tuple[float, ...]:
     """Fourier coefficients (a1, b1, a2, b2, a4, b4) of V on one branch.
 
     V(theta) = offset + sum over k = 1, 2, 4 of a_k cos(k theta) +
@@ -267,7 +263,7 @@ def _coefficients(rp: ReducedParams, branch: int, g: float) -> tuple[float, ...]
     s = rp.system.s
     n = rp.system.two_s
     quad = s * (n - 1) / 4.0
-    zeeman = g * s
+    zeeman = G_FACTOR * s
     quart = s * (n - 1) * (n - 2) * (n - 3) / 64.0
     return (
         -zeeman * rp.r2,
@@ -318,11 +314,7 @@ _SCAN_BASIS.setflags(write=False)
 
 
 def potential_reduced(
-    theta: npt.ArrayLike,
-    rp: ReducedParams,
-    branch: int = 1,
-    *,
-    g: float = G_FACTOR,
+    theta: npt.ArrayLike, rp: ReducedParams, branch: int = 1
 ) -> npt.NDArray[np.float64] | float:
     """In-plane potential V(theta) on one branch, in kelvin.
 
@@ -330,7 +322,7 @@ def potential_reduced(
     Equals ``potential_angular(theta, 0 or pi)`` to rounding error when
     the r-parameters and offset come from ``reduce_params``.
     """
-    v = rp.offset + _basis(theta) @ _coefficients(rp, branch, g)
+    v = rp.offset + _basis(theta) @ _coefficients(rp, branch)
     if v.ndim == 0:
         return float(v)
     return v
@@ -385,12 +377,7 @@ def _polish_root(
     raise ConvergenceError(f"stationary-point polish did not converge in [{lo!r}, {hi!r}]")
 
 
-def _branch_points(
-    rp: ReducedParams,
-    branch: int,
-    g: float,
-    owned_only: bool,
-) -> list[CriticalPoint]:
+def _branch_points(rp: ReducedParams, branch: int, owned_only: bool) -> list[CriticalPoint]:
     """Stationary points of one branch, found by a dense scan of V'.
 
     With owned_only, only brackets within two samples of the angles the
@@ -403,7 +390,7 @@ def _branch_points(
     tol_root = 1e-12 * scale
     tol_flat = 1e-9 * scale
 
-    coef = _coefficients(rp, branch, g)
+    coef = _coefficients(rp, branch)
     d1 = _derivative(coef)
     d2 = _derivative(d1)
     thetas = _SCAN_THETAS
@@ -457,12 +444,7 @@ def _branch_points(
     return points
 
 
-def critical_points(
-    rp: ReducedParams,
-    branch: int = 1,
-    *,
-    g: float = G_FACTOR,
-) -> list[CriticalPoint]:
+def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
     """All stationary angles of one branch over [0, 2*pi).
 
     A dense scan of the analytic derivative brackets every sign change;
@@ -474,14 +456,14 @@ def critical_points(
     Returns an empty list only for the flat (all parameters negligible)
     potential, which callers should treat as degenerate.
     """
-    return _branch_points(rp, branch, g, owned_only=False)
+    return _branch_points(rp, branch, owned_only=False)
 
 
 #: Tolerance factor for calling two minima degenerate in a landscape.
 _TIE_FACTOR = 1e-9
 
 
-def landscape(rp: ReducedParams, *, g: float = G_FACTOR) -> LandscapeReport:
+def landscape(rp: ReducedParams) -> LandscapeReport:
     """Merged stationary structure of both branches on one circle.
 
     The phi = 0 branch owns theta in [0, pi] (poles included) and the
@@ -490,8 +472,8 @@ def landscape(rp: ReducedParams, *, g: float = G_FACTOR) -> LandscapeReport:
     exactly once. Each branch polishes only the roots it owns; the
     other half of its circle belongs to the mirror branch.
     """
-    plus = _branch_points(rp, 1, g, owned_only=True)
-    minus = _branch_points(rp, -1, g, owned_only=True)
+    plus = _branch_points(rp, 1, owned_only=True)
+    minus = _branch_points(rp, -1, owned_only=True)
     scale = parameter_scale(rp)
 
     if not plus and not minus:

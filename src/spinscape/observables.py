@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .eig import Spectrum, eigh_stack
-from .spin import G_FACTOR, AnisotropyParams, FieldVector, SpinSystem, build_hamiltonians
+from .spin import AnisotropyParams, FieldVector, SpinSystem, build_hamiltonians
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ def spectra(
     by: npt.ArrayLike,
     bz: npt.ArrayLike,
     *,
-    g: float = G_FACTOR,
     vectors: bool = True,
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.complex128] | None]:
     """Levels and ground vector at every point of a broadcast field grid,
@@ -95,7 +94,7 @@ def spectra(
     step = max(1, _STACK_BYTES // (itemsize * dim * dim))
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        h = build_hamiltonians(system, aniso, bx.flat[part], by.flat[part], bz.flat[part], g=g)
+        h = build_hamiltonians(system, aniso, bx.flat[part], by.flat[part], bz.flat[part])
         levels[part], v = eigh_stack(h, vectors=vectors)
         if vectors:
             ground[part] = v[..., 0]
@@ -111,7 +110,6 @@ def fidelity(
     *,
     axis: str = "bz",
     d: float = 0.001,
-    g: float = G_FACTOR,
 ) -> float:
     """Squared ground-state overlap across a small field increment.
 
@@ -120,7 +118,7 @@ def fidelity(
     for a smoothly varying ground state and F plunges toward 0 across a
     level crossing.
     """
-    fmap = fidelity_map(system, aniso, field.bz, field.bx, by=field.by, axis=axis, d=d, g=g)
+    fmap = fidelity_map(system, aniso, field.bz, field.bx, by=field.by, axis=axis, d=d)
     return float(fmap.values[0, 0])
 
 
@@ -133,7 +131,6 @@ def fidelity_map(
     by: float = 0.0,
     axis: str = "bz",
     d: float = 0.001,
-    g: float = G_FACTOR,
 ) -> FidelityMap:
     """Fidelity on every node of a (bz, bx) grid.
 
@@ -148,7 +145,7 @@ def fidelity_map(
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError(f"increment d must be positive and finite, got {d!r}")
     fields[axis] = fields[axis] + np.array([-d, d])[:, None, None]
-    _, ground = spectra(system, aniso, fields["bx"], fields["by"], fields["bz"], g=g)
+    _, ground = spectra(system, aniso, fields["bx"], fields["by"], fields["bz"])
     # np.vdot runs BLAS's strided dot on strided vectors, such as eigh's
     # columns, and sums contiguous ones in another order: keep a stride.
     cols = np.ascontiguousarray(np.moveaxis(ground.reshape(2, -1, system.dim), -1, 0))
@@ -195,10 +192,9 @@ def heat_capacity_scan(
     *,
     bx: float = 0.0,
     by: float = 0.0,
-    g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64]:
     """Heat capacity along a bz scan at fixed transverse field: one column of :func:`heatcap_map`."""
-    return heatcap_map(system, aniso, bz_values, bx, t, by=by, g=g)[..., 0]
+    return heatcap_map(system, aniso, bz_values, bx, t, by=by)[..., 0]
 
 
 def heatcap_map(
@@ -209,7 +205,6 @@ def heatcap_map(
     t: float | npt.ArrayLike,
     *,
     by: float = 0.0,
-    g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64]:
     """Heat capacity on every node of a (bz, bx) grid at temperature t.
 
@@ -219,6 +214,6 @@ def heatcap_map(
     temps = np.asarray(t, dtype=float)
     bz = np.atleast_1d(np.asarray(bz_values, dtype=float))
     bx = np.atleast_1d(np.asarray(bx_values, dtype=float))
-    levels, _ = spectra(system, aniso, bx[None, :], by, bz[:, None], g=g, vectors=False)
+    levels, _ = spectra(system, aniso, bx[None, :], by, bz[:, None], vectors=False)
     maps = [_moments(levels, tk)[3] / tk**2 for tk in temps.ravel().tolist()]
     return np.reshape(maps, temps.shape + levels.shape[:-1])

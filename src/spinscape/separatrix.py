@@ -30,7 +30,6 @@ from .landscape import (
     landscape,
     parameter_scale,
 )
-from .spin import G_FACTOR
 
 #: Selectors naming a plane axis. bz and bx are aliases for the field
 #: components r2 and r1.
@@ -161,8 +160,8 @@ def _theta_ordered(a: CriticalPoint, b: CriticalPoint) -> Pair:
     return (a, b) if a.theta <= b.theta else (b, a)
 
 
-def _feature(rp: ReducedParams, g: float) -> _Feature:
-    rep = landscape(rp, g=g)
+def _feature(rp: ReducedParams) -> _Feature:
+    rep = landscape(rp)
     if rep.degenerate:
         return _Feature(True, (0, 0), None, None)
     minima = sorted(rep.minima(), key=lambda p: p.value)
@@ -311,7 +310,7 @@ def _classify_edge(
 
 def _line_events(
     fixed: ReducedParams, axis: str, values: np.ndarray, feats: list[_Feature],
-    g: float, scale: float, tol_bif: float, tol_mx: float,
+    scale: float, tol_bif: float, tol_mx: float,
 ) -> list[tuple[str, float]]:
     """(kind, axis value) of every event on the edges of one line of nodes.
 
@@ -323,7 +322,7 @@ def _line_events(
         v_lo, v_hi = float(values[i]), float(values[i + 1])
 
         def feature_at(t: float) -> _Feature:
-            return _feature(_with_value(fixed, axis, v_lo + t * (v_hi - v_lo)), g)
+            return _feature(_with_value(fixed, axis, v_lo + t * (v_hi - v_lo)))
 
         for kind, t in _classify_edge(feature_at, feats[i], feats[i + 1], scale, tol_bif, tol_mx):
             events.append((kind, v_lo + t * (v_hi - v_lo)))
@@ -378,7 +377,7 @@ def _link_polylines(points: list[tuple[float, float]], cell1: float, cell2: floa
     return lines
 
 
-def classify_cell_edges(plane: PlaneSpec, *, g: float = G_FACTOR) -> SeparatrixSet:
+def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     """Scan a parameter plane and refine every separatrix crossing.
 
     Each grid node's landscape is summarized once; each edge between
@@ -399,18 +398,18 @@ def classify_cell_edges(plane: PlaneSpec, *, g: float = G_FACTOR) -> SeparatrixS
     features: list[list[_Feature]] = []
     for v1 in vals1:
         base = _with_value(plane.fixed, axis1, v1)
-        features.append([_feature(_with_value(base, axis2, v2), g) for v2 in vals2])
+        features.append([_feature(_with_value(base, axis2, v2)) for v2 in vals2])
 
     collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
     tols = (BIFURCATION_REFINE, MAXWELL_REFINE)
     for i2, v2 in enumerate(vals2):
         line = _with_value(plane.fixed, axis2, v2)
         feats = [row[i2] for row in features]
-        for kind, v1 in _line_events(line, axis1, vals1, feats, g, scale, *tols):
+        for kind, v1 in _line_events(line, axis1, vals1, feats, scale, *tols):
             collected[kind].append((v1, float(v2)))
     for i1, v1 in enumerate(vals1):
         line = _with_value(plane.fixed, axis1, v1)
-        for kind, v2 in _line_events(line, axis2, vals2, features[i1], g, scale, *tols):
+        for kind, v2 in _line_events(line, axis2, vals2, features[i1], scale, *tols):
             collected[kind].append((float(v1), v2))
 
     cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
@@ -425,7 +424,6 @@ def sweep_crossings(
     *,
     samples: int = 401,
     refine_to: float = 1e-4,
-    g: float = G_FACTOR,
 ) -> SweepResult:
     """Crossing values of the separatrix along a single parameter axis.
 
@@ -454,8 +452,8 @@ def sweep_crossings(
         )
     tol_t = min(0.5, refine_to / step)
 
-    feats = [_feature(_with_value(fixed, axis_name, v), g) for v in values]
+    feats = [_feature(_with_value(fixed, axis_name, v)) for v in values]
     found: dict[str, list[float]] = {kind: [] for kind in KINDS}
-    for kind, value in _line_events(fixed, axis_name, values, feats, g, scale, tol_t, tol_t):
+    for kind, value in _line_events(fixed, axis_name, values, feats, scale, tol_t, tol_t):
         found[kind].append(value)
     return SweepResult(*(tuple(sorted(found[kind])) for kind in KINDS))

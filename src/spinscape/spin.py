@@ -4,7 +4,8 @@ Everything works in the magnitude basis |S, M> ordered by descending M,
 so the first basis vector is M = +S and the last is M = -S. Energies are
 expressed as E/k_B in kelvin and magnetic fields enter pre-multiplied by
 the Bohr magneton, i.e. a field component b means mu_B * B / k_B in
-kelvin. The Lande factor defaults to g = 2.
+kelvin. The Lande factor is fixed at g = 2; another isotropic g is
+reached by scaling the field components by g / 2.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy.typing as npt
 #: a field in tesla.
 MU_B_OVER_KB = 9.2740100783e-24 / 1.380649e-23
 
-#: Lande g-factor used throughout unless a caller overrides it.
+#: Lande g-factor; fixed, and the only place it is written.
 G_FACTOR = 2.0
 
 #: Fourth-order operator ranks supported by :func:`stevens_o4`.
@@ -204,8 +205,6 @@ def build_hamiltonian(
     system: SpinSystem,
     aniso: AnisotropyParams,
     field: FieldVector = FieldVector(),
-    *,
-    g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64] | npt.NDArray[np.complex128]:
     """Assemble the giant-spin Hamiltonian, in kelvin.
 
@@ -216,7 +215,7 @@ def build_hamiltonian(
     returned matrix satisfies H == H^dagger exactly. It is real
     symmetric (float64) when by = 0 and complex128 otherwise.
     """
-    return build_hamiltonians(system, aniso, field.bx, field.by, field.bz, g=g)
+    return build_hamiltonians(system, aniso, field.bx, field.by, field.bz)
 
 
 def build_hamiltonians(
@@ -225,8 +224,6 @@ def build_hamiltonians(
     bx: npt.ArrayLike,
     by: npt.ArrayLike,
     bz: npt.ArrayLike,
-    *,
-    g: float = G_FACTOR,
 ) -> npt.NDArray[np.float64] | npt.NDArray[np.complex128]:
     """:func:`build_hamiltonian` over the broadcast shape of the field
     components, shaped (..., 2S+1, 2S+1); each matrix is the same to the
@@ -244,12 +241,12 @@ def build_hamiltonians(
     real = np.zeros(bx.shape + (dim, dim))
     real += aniso.d * mats.sz @ mats.sz
     real += aniso.e * (sx2 - sy2)
-    real += (g * bx)[..., None, None] * mats.sx
-    real += (g * bz)[..., None, None] * mats.sz
+    real += (G_FACTOR * bx)[..., None, None] * mats.sx
+    real += (G_FACTOR * bz)[..., None, None] * mats.sz
     for k, coeff in zip(STEVENS_RANKS, (aniso.b40, aniso.b42, aniso.b43, aniso.b44)):
         if coeff:
             real += coeff * _stevens_o4(system, mats, k)
 
     if not np.any(by):
         return real
-    return real + (g * by)[..., None, None] * mats.sy
+    return real + (G_FACTOR * by)[..., None, None] * mats.sy

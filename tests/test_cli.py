@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinscape.cli as cli
+import spinscape.separatrix as _separatrix
 from spinscape import MU_B_OVER_KB
 from spinscape.eig import ConvergenceError
 
@@ -140,21 +141,30 @@ def test_r_params_errors(tmp_path, capsys):
 
 
 def test_spectrum_rejects_r_params_off_the_bx_bz_plane(tmp_path, monkeypatch, capsys):
-    # with by != 0 there is no crossings sidecar for --r-params to set;
-    # the command refuses before it diagonalises anything
+    # with by != 0 there is no crossings sidecar for --r-params to set,
+    # and r1 and r2 belong to --bx and the swept --bz-range; the command
+    # refuses before it diagonalises anything
     def refuse(h):
         raise AssertionError("diagonalised before the flags were checked")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    code = cli.main([
-        "spectrum", "--compound", "3", "--by", "0.1", "--bz-range", "0:1", "--grid", "3",
-        "--r-params", "r3=1", "--out", str(tmp_path / "f.csv"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--r-params" in err and "--by" in err
-    assert list(tmp_path.iterdir()) == []
+    cases = [
+        (["--by", "0.1", "--r-params", "r3=1"], "--by"),
+        (["--r-params", "r1=3"], "--bx"),
+        (["--r-params", "bx=3,r3=1"], "--bx"),
+        (["--r-params", "r2=5"], "--bz-range"),
+        (["--r-params", "bz=5,r4=0.001"], "--bz-range"),
+    ]
+    for extra, owner in cases:
+        code = cli.main([
+            "spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "3",
+            *extra, "--out", str(tmp_path / "f.csv"),
+        ])
+        assert code == 2, extra
+        err = capsys.readouterr().err
+        assert "--r-params" in err and owner in err, extra
+        assert list(tmp_path.iterdir()) == []
 
 
 def _failing_sweep(*args, **kwargs):
@@ -172,15 +182,33 @@ _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", 
         (_SPECTRUM, 3, _failing_sweep),
         (_SEPARATRIX + ["--axes", "bz"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,r3"], 2, None),
+        (_SPECTRUM + ["--r-params", "bz=5,bx=3"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r-params", "bz=5"], 2, None),
+        (_SEPARATRIX + ["--axes", "bx,bz", "--bx-range", "0:1", "--r-params", "r3=-1,r1=2"], 2, None),
     ],
-    ids=["spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis", "separatrix-no-r3-range"],
+    ids=[
+        "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
+        "separatrix-no-r3-range", "spectrum-r-params-sets-swept-axis",
+        "separatrix-r-params-sets-axis2", "separatrix-r-params-sets-axis1",
+    ],
 )
-def test_failed_command_writes_nothing(tmp_path, monkeypatch, argv, code, sweep):
-    # a command writes its files only once all of its tables are computed
+def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
+    # a command writes its files only once all of its tables are computed;
+    # a configuration error (exit 2) stops it before any landscape or
+    # diagonalisation
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the flags were checked")
+
     if sweep is not None:
         monkeypatch.setattr(cli, "sweep_crossings", sweep)
+    if code == 2:
+        monkeypatch.setattr(_separatrix, "landscape", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code
     assert list(tmp_path.iterdir()) == []
+    if "--r-params" in argv and code == 2:
+        assert "--r-params" in capsys.readouterr().err
 
 
 def test_conflicting_compound_sources(tmp_path):

@@ -22,7 +22,6 @@ from spinscape import (
     potential_reduced,
     reduce_params,
 )
-from spinscape.spin import G_FACTOR
 
 # ``spinscape.landscape`` is the function; the module holds the private
 # Fourier-series helpers the tests and the reference below reuse.
@@ -31,7 +30,7 @@ _ls = importlib.import_module("spinscape.landscape")
 
 def _derivative_at(theta, rp, branch, order):
     """order-th theta-derivative of V from the coefficient representation."""
-    coef = _ls._coefficients(rp, branch, G_FACTOR)
+    coef = _ls._coefficients(rp, branch)
     for _ in range(order):
         coef = _ls._derivative(coef)
     return _ls._series(coef, _ls._trig(theta))
@@ -308,7 +307,7 @@ def _reference_critical_points(rp, branch):
     tol_flat = 1e-9 * scale
 
     thetas = _ls._SCAN_THETAS
-    coef = _ls._coefficients(rp, branch, G_FACTOR)
+    coef = _ls._coefficients(rp, branch)
     c1 = _ls._derivative(coef)
     c2 = _ls._derivative(c1)
     d1 = _ls._SCAN_BASIS @ c1
@@ -461,3 +460,29 @@ def test_polish_root_raises_when_iterations_run_out():
     sine = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ConvergenceError, match="did not converge"):
         _ls._polish_root(9.0, 9.5, sine, _ls._derivative(sine), -1.0)
+
+
+def _alternate(points):
+    """Minima and maxima alternate around the circle, wrap-around included."""
+    kinds = [p.kind for p in points]
+    return all(k != kinds[i - 1] for i, k in enumerate(kinds))
+
+
+def test_stationary_kinds_alternate_on_random_params():
+    # A smooth periodic V has its minima and maxima in alternation around
+    # the circle, as many of each; only an inflection breaks the pattern.
+    rng = np.random.default_rng(2024)
+    widths = np.array([2.0, 2.0, 1.0, 0.05, 0.05])
+    checked = 0
+    for _ in range(500):
+        r = rng.normal(size=5) * widths
+        rp = ReducedParams(*r.tolist(), system=SpinSystem(int(rng.choice([4, 10, 19, 20, 60]))))
+        report = landscape(rp)
+        for points in (report.points, critical_points(rp, 1), critical_points(rp, -1)):
+            if any(p.kind == "inflection" for p in points):
+                continue
+            assert _alternate(points), rp
+            checked += 1
+        if not any(p.kind == "inflection" for p in report.points):
+            assert report.n_minima == report.n_maxima, rp
+    assert checked > 1400

@@ -1,4 +1,6 @@
-"""Package surface: the names spinscape exports."""
+"""Package surface: the names spinscape exports, and the README's tour of them."""
+
+from pathlib import Path
 
 import spinscape
 
@@ -8,3 +10,12 @@ def test_every_exported_name_resolves():
     missing = [name for name in spinscape.__all__ if not hasattr(spinscape, name)]
     assert missing == []
     assert len(set(spinscape.__all__)) == len(spinscape.__all__)
+
+
+def test_readme_library_quick_tour_runs(capsys):
+    # the README's code must keep up with the public signatures
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert "wells," in capsys.readouterr().out

@@ -17,7 +17,6 @@ from spinscape import (
     sweep_crossings,
 )
 from spinscape.separatrix import BIFURCATION_REFINE, MAXWELL_REFINE
-from spinscape.spin import G_FACTOR
 
 S5 = SpinSystem(10)
 
@@ -265,7 +264,7 @@ def _random_edges(draws):
         a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
 
         def feature_at(t, rp=rp, axis=axis, a=a, b=b):
-            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)), G_FACTOR)
+            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)))
 
         yield rp, which, feature_at
 

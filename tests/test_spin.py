@@ -144,13 +144,6 @@ def test_hamiltonian_zeeman_diagonal():
     assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
 
 
-def test_hamiltonian_g_factor_override():
-    sys = SpinSystem(4)
-    h1 = build_hamiltonian(sys, AnisotropyParams(), FieldVector(bz=1.0), g=1.0)
-    h2 = build_hamiltonian(sys, AnisotropyParams(), FieldVector(bz=0.5), g=2.0)
-    assert np.max(np.abs(h1 - h2)) == 0.0
-
-
 def test_system_validation():
     with pytest.raises(ValueError):
         SpinSystem(0)
