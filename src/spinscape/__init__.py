@@ -30,6 +30,7 @@ from .landscape import (
     coherent_expectation,
     critical_points,
     landscape,
+    landscapes,
     parameter_scale,
     potential_angular,
     potential_reduced,
@@ -95,6 +96,7 @@ __all__ = [
     "heat_capacity_scan",
     "heatcap_map",
     "landscape",
+    "landscapes",
     "load_compound",
     "lookup",
     "parameter_scale",

@@ -54,6 +54,9 @@ EXIT_NUMERIC = 3
 #: range flag that feeds each canonical axis
 _RANGE_FLAG = {"r1": "bx_range", "r2": "bz_range", "r3": "r3_range", "r4": "r4_range", "r5": "r5_range"}
 
+#: fixed-field flag that sets each field axis
+_FIELD_FLAG = {"r1": "bx", "r2": "bz"}
+
 #: flags holding a field, a field window or a field increment, which --tesla converts
 _FIELD_FLAGS = ("bx", "by", "bz", "bz_range", "bx_range", "d_increment")
 
@@ -212,8 +215,10 @@ def _reduced_settings(rp: ReducedParams) -> list[tuple[str, str]]:
 
 def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> ReducedParams:
     """Fixed reduced parameters from compound, fixed fields, and overrides."""
-    bx = getattr(args, "bx", 0.0)
-    bz = getattr(args, "bz", 0.0)
+    # separatrix leaves --bx and --bz at None unless they are given
+    bx, bz = (getattr(args, flag, None) for flag in ("bx", "bz"))
+    bx = 0.0 if bx is None else bx
+    bz = 0.0 if bz is None else bz
     if compound is not None:
         rp = reduce_params(compound.system, compound.aniso, FieldVector(bx=bx, bz=bz))
     else:
@@ -307,6 +312,9 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
             raise CliError(f"axis {name!r} needs {flag}")
         if axis in (args.r_params or {}):
             raise CliError(f"--r-params cannot set {axis}: the plane sweeps it over {flag}")
+        field = _FIELD_FLAG.get(axis)
+        if field is not None and getattr(args, field) is not None:
+            raise CliError(f"--{field} cannot be set: the plane sweeps it over {flag}")
     n1, n2 = args.grid
 
     plane = PlaneSpec(
@@ -499,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compound_flags(p)
     p.add_argument("--two-s", type=int, default=10, help="2S when no compound is given")
     p.add_argument("--axes", default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
-    p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field when bx is not swept")
-    p.add_argument("--bz", type=float, default=0.0, help="fixed axial field when bz is not swept")
+    p.add_argument("--bx", type=float, help="fixed transverse field when bx is not swept (default 0)")
+    p.add_argument("--bz", type=float, help="fixed axial field when bz is not swept (default 0)")
     p.add_argument("--bz-range", type=_range, help="window for a swept bz axis, LO:HI")
     p.add_argument("--bx-range", type=_range, help="window for a swept bx axis, LO:HI")
     p.add_argument("--r3-range", type=_range, help="window for a swept r3 axis, LO:HI")

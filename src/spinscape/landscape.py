@@ -27,13 +27,16 @@ expectation of Sz is -S*cos(theta) while Sx and Sy follow
 Critical-point machinery for the reduced potential lives here too:
 ``critical_points`` locates and classifies all stationary angles of one
 branch, and ``landscape`` merges both branches into a report for the
-full great circle through the easy axis.
+full great circle through the easy axis. ``landscapes`` makes those
+reports for many parameter sets at once: one kernel scans, polishes and
+classifies the stationary points of every node and branch as whole
+arrays, and every report equals the one a node gets alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -275,13 +278,21 @@ def _coefficients(rp: ReducedParams, branch: int) -> tuple[float, ...]:
     )
 
 
-def _derivative(coef: tuple[float, ...]) -> tuple[float, ...]:
-    """Coefficients of the theta-derivative: (a_k, b_k) -> k (b_k, -a_k).
+#: The harmonics k of the series, in the order of the coefficient tuple.
+_ORDERS = np.array([1.0, 2.0, 4.0])
+
+
+def _derivative(coef: npt.ArrayLike) -> npt.NDArray[np.float64]:
+    """Coefficients of the theta-derivative along the last axis:
+    (a_k, b_k) -> k (b_k, -a_k).
 
     k is a power of two, so the map is exact in floating point.
     """
-    a1, b1, a2, b2, a4, b4 = coef
-    return (b1, -a1, 2.0 * b2, -2.0 * a2, 4.0 * b4, -4.0 * a4)
+    c = np.asarray(coef, dtype=float)
+    d = np.empty_like(c)
+    d[..., 0::2] = c[..., 1::2] * _ORDERS
+    d[..., 1::2] = -c[..., 0::2] * _ORDERS
+    return d
 
 
 def _basis(theta: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -290,27 +301,52 @@ def _basis(theta: npt.ArrayLike) -> npt.NDArray[np.float64]:
     return np.stack([f(k * th) for k in (1.0, 2.0, 4.0) for f in (np.cos, np.sin)], axis=-1)
 
 
-def _trig(theta: float) -> tuple[float, ...]:
-    """``_basis`` at one angle, as floats."""
-    return (
-        math.cos(theta), math.sin(theta),
-        math.cos(2.0 * theta), math.sin(2.0 * theta),
-        math.cos(4.0 * theta), math.sin(4.0 * theta),
-    )
+def _series(coef: npt.NDArray[np.float64], trig: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """The Fourier series with coefficients coef at the angles of ``_basis``.
+
+    Both carry the six terms along the last axis. The terms are added
+    one at a time, left to right, so every element is rounded exactly
+    like the scalar expression a1*c1 + b1*s1 + ... + b4*s4; a
+    ``sum`` or a matrix product may add them in another order.
+    """
+    total = coef[..., 0] * trig[..., 0]
+    for j in range(1, 6):
+        total = total + coef[..., j] * trig[..., j]
+    return total
 
 
-def _series(coef: tuple[float, ...], trig: tuple[float, ...]) -> float:
-    """The Fourier series with coefficients coef at the angle of ``_trig``."""
-    a1, b1, a2, b2, a4, b4 = coef
-    c1, s1, c2, s2, c4, s4 = trig
-    return a1 * c1 + b1 * s1 + a2 * c2 + b2 * s2 + a4 * c4 + b4 * s4
-
-
-# The dense stationary-point scan's angles and their basis rows.
+# The dense stationary-point scan's angles, its bracket ends and basis rows.
 _SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, SCAN_SAMPLES, endpoint=False)
+_SCAN_HI = np.append(_SCAN_THETAS[1:], 2.0 * math.pi)
 _SCAN_BASIS = _basis(_SCAN_THETAS)
-_SCAN_THETAS.setflags(write=False)
-_SCAN_BASIS.setflags(write=False)
+
+# The samples whose brackets each branch polishes for ``landscapes``:
+# within two samples of the angles it owns there, [0, pi] and the band
+# just below 2*pi for phi = 0, (0, pi) for phi = pi. Roots two brackets
+# apart are a whole sample apart, so the margin leaves every merge
+# decision inside the owned angles as in a full-circle scan.
+_MARGIN = 2.0 * (2.0 * math.pi) / SCAN_SAMPLES
+_OWNED = np.stack([
+    (_SCAN_THETAS <= math.pi + _MARGIN) | (_SCAN_THETAS >= 2.0 * math.pi - _MARGIN),
+    _SCAN_THETAS <= math.pi + _MARGIN,
+])
+_WHOLE = np.ones((1, SCAN_SAMPLES), dtype=bool)
+for _table in (_ORDERS, _SCAN_THETAS, _SCAN_HI, _SCAN_BASIS, _OWNED, _WHOLE):
+    _table.setflags(write=False)
+del _table
+
+#: Bytes of V' samples one scan pass holds, SCAN_SAMPLES float64 per
+#: branch of a node: nodes are scanned in chunks of this size, so a
+#: plane's scan (5 MB for 320 nodes) is never in memory at once. Each
+#: row is its own matrix product whatever the chunk, so bigger chunks
+#: only save per-pass overhead: on a 20x16 plane, 1 MiB chunks ran
+#: ~10% faster than 256 KiB (8 nodes) but raised peak memory by 1.8 MB.
+_SCAN_BYTES = 1 << 18
+
+#: Newton iterations a bracket may take before the polish gives up. No
+#: root of the test suite or of the benchmark workloads takes more than
+#: 35.
+_POLISH_ITERATIONS = 60
 
 
 def potential_reduced(
@@ -328,119 +364,162 @@ def potential_reduced(
     return v
 
 
-def _polish_root(
-    lo: float,
-    hi: float,
-    d1: tuple[float, ...],
-    d2: tuple[float, ...],
-    tol: float,
-) -> float:
-    """Newton iteration on the series d1 = V', guarded by a sign-change bracket.
+def _polish(
+    lo: npt.NDArray[np.float64],
+    hi: npt.NDArray[np.float64],
+    d1: npt.NDArray[np.float64],
+    d2: npt.NDArray[np.float64],
+    tol: npt.NDArray[np.float64],
+) -> npt.NDArray[np.float64]:
+    """Newton iteration on the series d1 = V' in every bracket [lo, hi] at once.
 
-    d2 = V'' supplies the Newton slope from the same trig values. Falls
-    back to plain bisection whenever a Newton step leaves the bracket or
-    stalls; 60 iterations are far more than either method needs at this
-    smoothness (no root of the test suite or of the benchmark workloads
-    takes more than 35), so running out of them raises.
+    Row i of d1 and d2 holds the coefficients of V' and V'' for bracket
+    i, whose V' changes sign between lo[i] and hi[i]; V'' supplies the
+    Newton slope from the same trig values. Each bracket is shrunk
+    around its sign change, and a Newton step that leaves the bracket
+    or meets a zero slope is replaced by plain bisection. A bracket
+    leaves the batch once |V'| <= tol[i] or it is narrower than 1e-15;
+    until then every element takes the same steps, in the same
+    floating-point operations, as a scalar loop over that bracket
+    alone, given that ``np.sin`` and ``np.cos`` round like ``math.sin``
+    and ``math.cos`` (a tier-1 test checks this platform property).
 
     Raises:
-        ConvergenceError: if neither |V'| <= tol nor a bracket narrower
-            than 1e-15 is reached in 60 iterations.
+        ConvergenceError: if some bracket reaches neither exit in
+            ``_POLISH_ITERATIONS`` iterations.
     """
-    f_lo = _series(d1, _trig(lo))
-    if f_lo == 0.0:
-        return lo
+    root = np.array(lo, dtype=float)
+    f_lo = _series(d1, _basis(lo))
+    idx = np.flatnonzero(f_lo != 0.0)
+    lo, hi, f_lo, d1, d2, tol = (a[idx] for a in (lo, hi, f_lo, d1, d2, tol))
     x = 0.5 * (lo + hi)
-    for _ in range(60):
-        trig = _trig(x)
+    for _ in range(_POLISH_ITERATIONS):
+        if idx.size == 0:
+            break
+        trig = _basis(x)
         fx = _series(d1, trig)
-        if abs(fx) <= tol:
-            return x
-        # shrink the bracket around the sign change
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo = x
-            f_lo = fx
-        else:
-            hi = x
+        hit = np.abs(fx) <= tol
+        root[idx[hit]] = x[hit]
+        # shrink each bracket around its sign change
+        same = (fx > 0.0) == (f_lo > 0.0)
+        lo = np.where(same, x, lo)
+        f_lo = np.where(same, fx, f_lo)
+        hi = np.where(same, hi, x)
         dfx = _series(d2, trig)
-        if dfx != 0.0:
-            step = fx / dfx
-            candidate = x - step
-        else:
-            candidate = lo  # force bisection below
-        if lo < candidate < hi:
-            x = candidate
-        else:
-            x = 0.5 * (lo + hi)
-        if hi - lo < 1e-15:
-            return x
-    raise ConvergenceError(f"stationary-point polish did not converge in [{lo!r}, {hi!r}]")
+        newton = dfx != 0.0
+        step = np.divide(fx, dfx, out=np.zeros_like(fx), where=newton)
+        candidate = np.where(newton, x - step, lo)  # lo forces bisection below
+        x = np.where((lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
+        closed = ~hit & (hi - lo < 1e-15)
+        root[idx[closed]] = x[closed]
+        keep = ~(hit | closed)
+        idx, lo, hi, f_lo, x, d1, d2, tol = (
+            a[keep] for a in (idx, lo, hi, f_lo, x, d1, d2, tol)
+        )
+    if idx.size:
+        raise ConvergenceError(
+            f"stationary-point polish did not converge in [{float(lo[0])!r}, {float(hi[0])!r}]"
+        )
+    return root
 
 
-def _branch_points(rp: ReducedParams, branch: int, owned_only: bool) -> list[CriticalPoint]:
-    """Stationary points of one branch, found by a dense scan of V'.
+#: A stationary point before it becomes a CriticalPoint: theta, value,
+#: kind, second derivative.
+_Point = tuple[float, float, Kind, float]
 
-    With owned_only, only brackets within two samples of the angles the
-    branch contributes to ``landscape`` are polished: [0, pi] and the
-    band just below 2*pi for phi = 0, (0, pi) for phi = pi. Roots two
-    brackets apart are a whole sample apart, so the margin leaves every
-    merge decision inside the owned angles as in the full scan.
+
+def _stationary(
+    coef: npt.NDArray[np.float64],
+    offset: npt.NDArray[np.float64],
+    scale: npt.NDArray[np.float64],
+    window: npt.NDArray[np.bool_],
+) -> list[list[_Point]]:
+    """Stationary points of every branch of every node, by one array pass.
+
+    coef is (nodes, branches, 6): the Fourier coefficients of V on each
+    branch of each node, whose offset and parameter scale are offset
+    and scale. window is (branches, SCAN_SAMPLES) and marks, per
+    branch, the scan samples whose zeros and brackets are kept. Returns
+    the points of every (node, branch) row, node-major, in theta order.
+
+    A dense scan of V' (one matrix product per row, in chunks of
+    ``_SCAN_BYTES``) finds every sign change; the brackets of all rows
+    are polished by one ``_polish`` call, and the merged roots of all
+    rows are classified by V'' and valued by V together. Rows whose V'
+    is below resolution everywhere (a flat potential) have no points.
     """
-    scale = parameter_scale(rp)
-    tol_root = 1e-12 * scale
-    tol_flat = 1e-9 * scale
-
-    coef = _coefficients(rp, branch)
+    n_nodes, n_branches = coef.shape[:2]
+    n_rows = n_nodes * n_branches
     d1 = _derivative(coef)
-    d2 = _derivative(d1)
-    thetas = _SCAN_THETAS
-    slope = _SCAN_BASIS @ d1
+    zeros: list[npt.NDArray[np.intp]] = []
+    brackets: list[npt.NDArray[np.intp]] = []
+    peaks: list[npt.NDArray[np.float64]] = []
+    step = max(1, _SCAN_BYTES // (8 * SCAN_SAMPLES * n_branches))
+    for first in range(0, n_nodes, step):
+        # matmul with a trailing unit axis runs one product per row, each
+        # equal bit for bit to _SCAN_BASIS @ row; a single (rows x 6) @
+        # (6 x samples) product rounds differently
+        slope = np.matmul(_SCAN_BASIS, d1[first:first + step, :, :, None])[..., 0]
+        peaks.append(np.maximum(slope.max(axis=-1), -slope.min(axis=-1)).ravel())
+        base = first * n_branches * SCAN_SAMPLES
+        # A sample where the slope is 0 is a root in its own right; a
+        # bracket [thetas[i], thetas[i+1]) with a zero end is skipped
+        # because that node is recorded on its own. The last bracket
+        # wraps to 2*pi.
+        zeros.append(np.flatnonzero((slope == 0.0) & window) + base)
+        positive = slope > 0.0
+        change = np.flatnonzero((positive != np.roll(positive, -1, axis=-1)) & window)
+        flat = slope.ravel()
+        nxt = change + np.where(change % SCAN_SAMPLES == SCAN_SAMPLES - 1, 1 - SCAN_SAMPLES, 1)
+        brackets.append(change[(flat[change] != 0.0) & (flat[nxt] != 0.0)] + base)
 
-    if float(np.max(np.abs(slope))) <= 1e-12 * scale:
-        return []
+    d1 = d1.reshape(n_rows, 6)
+    d2 = _derivative(d1)
+    row_scale = np.repeat(scale, n_branches)
+    live = np.concatenate(peaks) > 1e-12 * row_scale
+    at_zero = np.concatenate(zeros)
+    at_bracket = np.concatenate(brackets)
+    at_zero = at_zero[live[at_zero // SCAN_SAMPLES]]
+    at_bracket = at_bracket[live[at_bracket // SCAN_SAMPLES]]
+
+    bracket_row, sample = np.divmod(at_bracket, SCAN_SAMPLES)
+    polished = _polish(
+        _SCAN_THETAS[sample], _SCAN_HI[sample], d1[bracket_row], d2[bracket_row],
+        1e-12 * row_scale[bracket_row],
+    )
+
+    found: list[list[float]] = [[] for _ in range(n_rows)]
+    zero_row, sample = np.divmod(at_zero, SCAN_SAMPLES)
+    for r, theta in zip(zero_row.tolist(), _SCAN_THETAS[sample].tolist()):
+        found[r].append(theta)
+    for r, theta in zip(bracket_row.tolist(), polished.tolist()):
+        found[r].append(theta)
 
     two_pi = 2.0 * math.pi
-    # A sample where the slope is 0 is a root in its own right; a bracket
-    # [thetas[i], thetas[i+1]) with a zero end is skipped because that
-    # node is recorded on its own. The last bracket wraps to 2*pi.
-    nxt = np.roll(slope, -1)
-    zero = slope == 0.0
-    bracket = ~zero & (nxt != 0.0) & ((slope > 0.0) != (nxt > 0.0))
-    if owned_only:
-        margin = 2.0 * two_pi / SCAN_SAMPLES
-        near = thetas <= math.pi + margin
-        if branch == 1:
-            near |= thetas >= two_pi - margin
-        zero &= near
-        bracket &= near
+    thetas: list[float] = []
+    owners: list[int] = []
+    for r, roots in enumerate(found):
+        merged: list[float] = []
+        for theta in sorted(t % two_pi for t in roots):
+            if merged and theta - merged[-1] < MERGE_TOL:
+                continue
+            merged.append(theta)
+        if len(merged) > 1 and (two_pi - merged[-1] + merged[0]) < MERGE_TOL:
+            merged.pop()
+        thetas += merged
+        owners += [r] * len(merged)
 
-    roots = [float(thetas[i]) for i in np.flatnonzero(zero)]
-    for i in np.flatnonzero(bracket):
-        hi = float(thetas[i + 1]) if i + 1 < SCAN_SAMPLES else two_pi
-        roots.append(_polish_root(float(thetas[i]), hi, d1, d2, tol_root))
-
-    roots = [r % two_pi for r in roots]
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] < MERGE_TOL:
-            continue
-        merged.append(r)
-    if len(merged) > 1 and (two_pi - merged[-1] + merged[0]) < MERGE_TOL:
-        merged.pop()
-
-    points: list[CriticalPoint] = []
-    for r in merged:
-        trig = _trig(r)
-        curvature = _series(d2, trig)
-        if curvature > tol_flat:
-            kind: Kind = "minimum"
-        elif curvature < -tol_flat:
-            kind = "maximum"
-        else:
-            kind = "inflection"
-        value = rp.offset + _series(coef, trig)
-        points.append(CriticalPoint(theta=r, value=value, kind=kind, second_derivative=curvature))
+    row = np.array(owners, dtype=np.intp)
+    trig = _basis(thetas)
+    curvature = _series(d2[row], trig)
+    value = np.repeat(offset, n_branches)[row] + _series(coef.reshape(n_rows, 6)[row], trig)
+    tol_flat = 1e-9 * row_scale[row]
+    kinds = np.where(
+        curvature > tol_flat, "minimum", np.where(curvature < -tol_flat, "maximum", "inflection")
+    )
+    points: list[list[_Point]] = [[] for _ in range(n_rows)]
+    for r, point in zip(owners, zip(thetas, value.tolist(), kinds.tolist(), curvature.tolist())):
+        points[r].append(point)
     return points
 
 
@@ -456,11 +535,33 @@ def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
     Returns an empty list only for the flat (all parameters negligible)
     potential, which callers should treat as degenerate.
     """
-    return _branch_points(rp, branch, owned_only=False)
+    coef = np.array([[_coefficients(rp, branch)]])
+    (points,) = _stationary(coef, np.array([rp.offset]), np.array([parameter_scale(rp)]), _WHOLE)
+    return [CriticalPoint(*p) for p in points]
 
 
 #: Tolerance factor for calling two minima degenerate in a landscape.
 _TIE_FACTOR = 1e-9
+
+
+def landscapes(rps: Sequence[ReducedParams]) -> list[LandscapeReport]:
+    """``landscape`` of every parameter set in rps, in one array pass.
+
+    The scan, the Newton polish, the curvature and the value of every
+    node and branch are evaluated together (see ``_stationary``), so a
+    plane or a sweep costs a few array operations per chunk of nodes
+    rather than a scan and a scalar polish per node. Each report equals
+    the one ``landscape`` returns for that node alone, bit for bit:
+    which nodes share a call changes nothing.
+    """
+    rps = list(rps)
+    if not rps:
+        return []
+    coef = np.array([[_coefficients(rp, 1), _coefficients(rp, -1)] for rp in rps])
+    offset = np.array([rp.offset for rp in rps])
+    scales = [parameter_scale(rp) for rp in rps]
+    rows = _stationary(coef, offset, np.array(scales), _OWNED)
+    return [_report(rows[2 * k], rows[2 * k + 1], scale) for k, scale in enumerate(scales)]
 
 
 def landscape(rp: ReducedParams) -> LandscapeReport:
@@ -470,12 +571,14 @@ def landscape(rp: ReducedParams) -> LandscapeReport:
     phi = pi branch owns the open interval, mirrored onto (pi, 2*pi).
     Together they cover the full great circle through the easy axis
     exactly once. Each branch polishes only the roots it owns; the
-    other half of its circle belongs to the mirror branch.
+    other half of its circle belongs to the mirror branch. For many
+    parameter sets at once, ``landscapes`` is faster.
     """
-    plus = _branch_points(rp, 1, owned_only=True)
-    minus = _branch_points(rp, -1, owned_only=True)
-    scale = parameter_scale(rp)
+    return landscapes([rp])[0]
 
+
+def _report(plus: list[_Point], minus: list[_Point], scale: float) -> LandscapeReport:
+    """Merge the owned points of both branches of one node into its report."""
     if not plus and not minus:
         return LandscapeReport(
             points=(),
@@ -488,12 +591,12 @@ def landscape(rp: ReducedParams) -> LandscapeReport:
 
     two_pi = 2.0 * math.pi
     merged: list[CriticalPoint] = []
-    for p in plus:
-        if p.theta <= math.pi + _POLE_TOL or p.theta >= two_pi - _POLE_TOL:
-            merged.append(p)
-    for q in minus:
-        if _POLE_TOL < q.theta < math.pi - _POLE_TOL:
-            merged.append(replace(q, theta=two_pi - q.theta))
+    for theta, value, kind, curvature in plus:
+        if theta <= math.pi + _POLE_TOL or theta >= two_pi - _POLE_TOL:
+            merged.append(CriticalPoint(theta, value, kind, curvature))
+    for theta, value, kind, curvature in minus:
+        if _POLE_TOL < theta < math.pi - _POLE_TOL:
+            merged.append(CriticalPoint(two_pi - theta, value, kind, curvature))
     merged.sort(key=lambda p: p.theta % two_pi)
 
     minima = [p for p in merged if p.kind == "minimum"]

@@ -15,19 +15,28 @@ well, has no such gap and feeds a constant that stops at the event,
 which makes the secant a bisection. No closed-form discriminants are
 used, which keeps the machinery correct for the full five-parameter
 potential.
+
+Landscapes are evaluated in batches. A plane or a sweep summarizes
+all its grid nodes with one ``landscapes`` call. Each event's
+refinement is a generator that yields the edge fraction it wants to
+probe and is sent the landscape summary there, so the events of a
+whole plane advance in lockstep rounds: one ``landscapes`` call per
+round evaluates the next probe of every event still refining. Each
+event sees exactly the probes it would see if it were refined alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
 from .landscape import (
     CriticalPoint,
+    LandscapeReport,
     ReducedParams,
-    landscape,
+    landscapes,
     parameter_scale,
 )
 
@@ -148,20 +157,21 @@ class _Feature:
     max_pair: Pair | None
 
 
-#: The landscape summary at a fraction t in [0, 1] along one edge.
-FeatureAt = Callable[[float], _Feature]
+#: The signed indicator of one edge event in the landscape summary of a
+#: probe, or None where the structure tracked from t = 0 is lost.
+GapOf = Callable[[_Feature], float | None]
 
-#: The signed indicator of one edge event at a fraction t in [0, 1], or
-#: None where the structure tracked from t = 0 is lost.
-GapAt = Callable[[float], float | None]
+#: An edge event being refined: it yields each edge fraction t in
+#: [0, 1] it probes, is sent the landscape summary at t, and returns the
+#: event's edge fraction.
+Refinement = Generator[float, _Feature, float]
 
 
 def _theta_ordered(a: CriticalPoint, b: CriticalPoint) -> Pair:
     return (a, b) if a.theta <= b.theta else (b, a)
 
 
-def _feature(rp: ReducedParams) -> _Feature:
-    rep = landscape(rp)
+def _feature(rep: LandscapeReport) -> _Feature:
     if rep.degenerate:
         return _Feature(True, (0, 0), None, None)
     minima = sorted(rep.minima(), key=lambda p: p.value)
@@ -169,6 +179,11 @@ def _feature(rp: ReducedParams) -> _Feature:
     min_pair = _theta_ordered(minima[0], minima[1]) if len(minima) >= 2 else None
     max_pair = _theta_ordered(maxima[0], maxima[1]) if len(maxima) >= 2 else None
     return _Feature(False, (rep.n_minima, rep.n_maxima), min_pair, max_pair)
+
+
+def _features(rps: list[ReducedParams]) -> list[_Feature]:
+    """The summary of every landscape in rps, from one ``landscapes`` call."""
+    return [_feature(rep) for rep in landscapes(rps)]
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -189,16 +204,18 @@ def _delta(pair: Pair) -> float:
     return pair[0].value - pair[1].value
 
 
-def _refine(gap_at: GapAt, d_lo: float, d_hi: float | None, tol_t: float, tol_dv: float) -> float:
-    """Locate the sign change of gap_at, which is d_lo at t = 0 and d_hi at t = 1.
+def _refine(gap_of: GapOf, d_lo: float, d_hi: float | None, tol_t: float, tol_dv: float) -> Refinement:
+    """Locate the sign change of the gap, which is d_lo at t = 0 and d_hi at t = 1.
 
-    Illinois regula falsi: each probe is the secant zero of the current
-    bracket, or its midpoint when that zero is not strictly inside, and
-    an end kept twice in a row has its gap halved. A probe where gap_at
-    is None becomes the far end with an unknown gap, as t = 1 is when
-    d_hi is None, so the probes bisect until a probe beyond the zero
-    supplies a gap again. Stops at a probe with |gap| <= tol_dv or once
-    the bracket is no wider than tol_t.
+    A generator: it yields each probe t and is sent the landscape
+    summary there, whose gap is gap_of(summary); it returns the event's
+    edge fraction. Illinois regula falsi: each probe is the secant zero
+    of the current bracket, or its midpoint when that zero is not
+    strictly inside, and an end kept twice in a row has its gap halved.
+    A probe whose gap is None becomes the far end with an unknown gap,
+    as t = 1 is when d_hi is None, so the probes bisect until a probe
+    beyond the zero supplies a gap again. Stops at a probe with
+    |gap| <= tol_dv or once the bracket is no wider than tol_t.
     """
     lo, hi = 0.0, 1.0
     f_lo, f_hi = d_lo, d_hi
@@ -209,7 +226,7 @@ def _refine(gap_at: GapAt, d_lo: float, d_hi: float | None, tol_t: float, tol_dv
             secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             if lo < secant < hi:
                 t = secant
-        gap = gap_at(t)
+        gap = gap_of((yield t))
         if gap is None:
             # the structure shifted under us; close in from the far side
             hi, f_hi, last_moved = t, None, ""
@@ -229,9 +246,13 @@ def _refine(gap_at: GapAt, d_lo: float, d_hi: float | None, tol_t: float, tol_dv
     return 0.5 * (lo + hi)
 
 
-def _tracked_gap(
-    feature_at: FeatureAt, counts: tuple[int, int], ref: Pair, which: str, gap: Callable[[Pair], float]
-) -> GapAt:
+def _settled(t: float) -> Refinement:
+    """An event that needs no probe: it sits at edge fraction t."""
+    yield from ()
+    return t
+
+
+def _tracked_gap(counts: tuple[int, int], ref: Pair, which: str, gap: Callable[[Pair], float]) -> GapOf:
     """gap(pair) of the pair which, tracked from ref at t = 0.
 
     None where the counts change or the pair no longer matches ref. ref
@@ -240,9 +261,8 @@ def _tracked_gap(
     """
     positive = gap(ref) > 0.0
 
-    def gap_at(t: float) -> float | None:
+    def gap_of(fm: _Feature) -> float | None:
         nonlocal ref
-        fm = feature_at(t)
         pair = getattr(fm, which)
         if fm.degenerate or fm.counts != counts or pair is None:
             return None
@@ -254,29 +274,27 @@ def _tracked_gap(
             ref = matched
         return value
 
-    return gap_at
+    return gap_of
 
 
 def _classify_edge(
-    feature_at: FeatureAt,
     fa: _Feature,
     fb: _Feature,
     scale: float,
     tol_bif: float,
     tol_mx: float,
-) -> list[tuple[str, float]]:
-    """Classify one grid edge; returns (category, edge fraction) events."""
+) -> list[tuple[str, Refinement]]:
+    """Classify one grid edge; returns (category, refinement) events."""
     if fa.degenerate or fb.degenerate:
         return []
     if fa.counts != fb.counts:
 
-        def same_counts(t: float) -> float | None:
-            fm = feature_at(t)
+        def same_counts(fm: _Feature) -> float | None:
             return 1.0 if not fm.degenerate and fm.counts == fa.counts else None
 
         return [("bifurcation", _refine(same_counts, 1.0, None, tol_bif, 0.0))]
 
-    events: list[tuple[str, float]] = []
+    events: list[tuple[str, Refinement]] = []
     tol_dv = 1e-10 * scale
     for category, which in (("maxwell_minima", "min_pair"), ("maxwell_maxima", "max_pair")):
         pa = getattr(fa, which)
@@ -287,7 +305,7 @@ def _classify_edge(
         if matched is None:
             # birth or death of a tracked well with unchanged totals:
             # still a change of landscape character, filed as bifurcation
-            tracking = _tracked_gap(feature_at, fa.counts, pa, which, lambda pair: 1.0)
+            tracking = _tracked_gap(fa.counts, pa, which, lambda pair: 1.0)
             events.append(("bifurcation", _refine(tracking, 1.0, None, tol_bif, 0.0)))
             continue
         d_lo = _delta(pa)
@@ -301,32 +319,72 @@ def _classify_edge(
             # in-plane slices are one connected physical well, an
             # event per edge would flood the output.
             if d_hi != 0.0:
-                events.append((category, 0.0))
+                events.append((category, _settled(0.0)))
         elif d_hi != 0.0 and (d_lo > 0.0) != (d_hi > 0.0):
-            gap_at = _tracked_gap(feature_at, fa.counts, pa, which, _delta)
-            events.append((category, _refine(gap_at, d_lo, d_hi, tol_mx, tol_dv)))
+            gap_of = _tracked_gap(fa.counts, pa, which, _delta)
+            events.append((category, _refine(gap_of, d_lo, d_hi, tol_mx, tol_dv)))
     return events
+
+
+class _Event(NamedTuple):
+    """One event on the edge from v_lo to v_hi along axis, every other
+    parameter taken from line, with its refinement pending."""
+
+    kind: str
+    line: ReducedParams
+    axis: str
+    v_lo: float
+    v_hi: float
+    steps: Refinement
+
+    def at(self, t: float) -> float:
+        """The axis value at edge fraction t."""
+        return self.v_lo + t * (self.v_hi - self.v_lo)
 
 
 def _line_events(
     fixed: ReducedParams, axis: str, values: np.ndarray, feats: list[_Feature],
     scale: float, tol_bif: float, tol_mx: float,
-) -> list[tuple[str, float]]:
-    """(kind, axis value) of every event on the edges of one line of nodes.
+) -> list[_Event]:
+    """Every event on the edges of one line of nodes, not yet refined.
 
     The line runs along axis through values, with every other
     parameter taken from fixed; feats[i] summarizes node i.
     """
-    events: list[tuple[str, float]] = []
+    events: list[_Event] = []
     for i in range(len(values) - 1):
         v_lo, v_hi = float(values[i]), float(values[i + 1])
-
-        def feature_at(t: float) -> _Feature:
-            return _feature(_with_value(fixed, axis, v_lo + t * (v_hi - v_lo)))
-
-        for kind, t in _classify_edge(feature_at, feats[i], feats[i + 1], scale, tol_bif, tol_mx):
-            events.append((kind, v_lo + t * (v_hi - v_lo)))
+        for kind, steps in _classify_edge(feats[i], feats[i + 1], scale, tol_bif, tol_mx):
+            events.append(_Event(kind, fixed, axis, v_lo, v_hi, steps))
     return events
+
+
+def _refine_all(events: list[_Event]) -> list[float]:
+    """The axis value of every event, all refined in lockstep.
+
+    Each round evaluates the pending probe of every event still
+    refining with one ``landscapes`` call and sends each event its
+    summary, so the calls number the probes of the longest refinement,
+    not the probes of all of them.
+    """
+    values = [0.0] * len(events)
+    pending: list[tuple[int, float]] = []
+
+    def advance(k: int, feature: _Feature | None) -> None:
+        event = events[k]
+        try:
+            pending.append((k, event.steps.send(feature)))
+        except StopIteration as stop:
+            values[k] = event.at(stop.value)
+
+    for k in range(len(events)):
+        advance(k, None)
+    while pending:
+        probes, pending = pending, []
+        rps = [_with_value(events[k].line, events[k].axis, events[k].at(t)) for k, t in probes]
+        for (k, _), feature in zip(probes, _features(rps)):
+            advance(k, feature)
+    return values
 
 
 def _link_polylines(points: list[tuple[float, float]], cell1: float, cell2: float) -> list[np.ndarray]:
@@ -380,12 +438,14 @@ def _link_polylines(points: list[tuple[float, float]], cell1: float, cell2: floa
 def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     """Scan a parameter plane and refine every separatrix crossing.
 
-    Each grid node's landscape is summarized once; each edge between
-    adjacent nodes is classified by comparing the two summaries, and
-    edges carrying an event are refined by one bracketed secant:
-    stationary-count changes and lost wells bisect to 1e-6 of the axis
-    range, Maxwell degeneracies take secant steps on the energy gap to
-    1e-8 of it (or to a gap within 1e-10 of the energy scale). Refined
+    Each grid node's landscape is summarized once, all nodes in one
+    ``landscapes`` call; each edge between adjacent nodes is classified
+    by comparing the two summaries, and edges carrying an event are
+    refined by one bracketed secant: stationary-count changes and lost
+    wells bisect to 1e-6 of the axis range, Maxwell degeneracies take
+    secant steps on the energy gap to 1e-8 of it (or to a gap within
+    1e-10 of the energy scale). All events of the plane refine in
+    lockstep, one ``landscapes`` call per round of probes. Refined
     points are chained into polylines. Cells with a degenerate (flat)
     landscape are excluded.
     """
@@ -395,22 +455,24 @@ def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     n1, n2 = plane.shape
     scale = parameter_scale(plane.fixed)
 
-    features: list[list[_Feature]] = []
-    for v1 in vals1:
-        base = _with_value(plane.fixed, axis1, v1)
-        features.append([_feature(_with_value(base, axis2, v2)) for v2 in vals2])
+    nodes = _features([
+        _with_value(_with_value(plane.fixed, axis1, v1), axis2, v2) for v1 in vals1 for v2 in vals2
+    ])
+    features = [nodes[i1 * n2:(i1 + 1) * n2] for i1 in range(n1)]
 
-    collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
+    events: list[_Event] = []
     tols = (BIFURCATION_REFINE, MAXWELL_REFINE)
     for i2, v2 in enumerate(vals2):
         line = _with_value(plane.fixed, axis2, v2)
-        feats = [row[i2] for row in features]
-        for kind, v1 in _line_events(line, axis1, vals1, feats, scale, *tols):
-            collected[kind].append((v1, float(v2)))
+        events += _line_events(line, axis1, vals1, [row[i2] for row in features], scale, *tols)
     for i1, v1 in enumerate(vals1):
         line = _with_value(plane.fixed, axis1, v1)
-        for kind, v2 in _line_events(line, axis2, vals2, features[i1], scale, *tols):
-            collected[kind].append((float(v1), v2))
+        events += _line_events(line, axis2, vals2, features[i1], scale, *tols)
+
+    collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
+    for event, value in zip(events, _refine_all(events)):
+        at = _with_value(event.line, event.axis, value)
+        collected[event.kind].append((getattr(at, axis1), getattr(at, axis2)))
 
     cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
     cell2 = (plane.range2[1] - plane.range2[0]) / (n2 - 1)
@@ -428,10 +490,11 @@ def sweep_crossings(
     """Crossing values of the separatrix along a single parameter axis.
 
     The one-dimensional analogue of ``classify_cell_edges``: sample the
-    landscape along the axis, classify consecutive segments, and refine
-    each event with the same refiner (secant steps for Maxwell points,
-    bisection for count changes and lost wells) down to refine_to (in
-    the axis's own kelvin units).
+    landscape along the axis (one ``landscapes`` call), classify
+    consecutive segments, and refine every event in lockstep with the
+    same refiner (secant steps for Maxwell points, bisection for count
+    changes and lost wells) down to refine_to (in the axis's own kelvin
+    units).
 
     Raises:
         ValueError: if refine_to is not finite or is below 2**-52 of the
@@ -452,8 +515,9 @@ def sweep_crossings(
         )
     tol_t = min(0.5, refine_to / step)
 
-    feats = [_feature(_with_value(fixed, axis_name, v)) for v in values]
+    feats = _features([_with_value(fixed, axis_name, v) for v in values])
+    events = _line_events(fixed, axis_name, values, feats, scale, tol_t, tol_t)
     found: dict[str, list[float]] = {kind: [] for kind in KINDS}
-    for kind, value in _line_events(fixed, axis_name, values, feats, scale, tol_t, tol_t):
-        found[kind].append(value)
+    for event, value in zip(events, _refine_all(events)):
+        found[event.kind].append(value)
     return SweepResult(*(tuple(sorted(found[kind])) for kind in KINDS))

@@ -1,12 +1,12 @@
 """End-to-end command-line checks, all in-process via main()."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 import spinscape.cli as cli
-import spinscape.separatrix as _separatrix
 from spinscape import MU_B_OVER_KB
 from spinscape.eig import ConvergenceError
 
@@ -185,11 +185,14 @@ _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", 
         (_SPECTRUM + ["--r-params", "bz=5,bx=3"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r-params", "bz=5"], 2, None),
         (_SEPARATRIX + ["--axes", "bx,bz", "--bx-range", "0:1", "--r-params", "r3=-1,r1=2"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bz", "5"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bx", "0"], 2, None),
     ],
     ids=[
         "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
         "separatrix-no-r3-range", "spectrum-r-params-sets-swept-axis",
         "separatrix-r-params-sets-axis2", "separatrix-r-params-sets-axis1",
+        "separatrix-bz-sets-axis1", "separatrix-bx-sets-axis2",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -202,7 +205,8 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
     if sweep is not None:
         monkeypatch.setattr(cli, "sweep_crossings", sweep)
     if code == 2:
-        monkeypatch.setattr(_separatrix, "landscape", refuse)
+        # the one stationary-point kernel behind every landscape
+        monkeypatch.setattr(importlib.import_module("spinscape.landscape"), "_stationary", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code

@@ -16,6 +16,7 @@ from spinscape import (
     coherent_expectation,
     critical_points,
     landscape,
+    landscapes,
     lookup,
     parameter_scale,
     potential_angular,
@@ -28,12 +29,32 @@ from spinscape import (
 _ls = importlib.import_module("spinscape.landscape")
 
 
+def _trig(theta):
+    """The basis (cos k theta, sin k theta), k = 1, 2, 4, at one angle, from math."""
+    return (
+        math.cos(theta), math.sin(theta),
+        math.cos(2.0 * theta), math.sin(2.0 * theta),
+        math.cos(4.0 * theta), math.sin(4.0 * theta),
+    )
+
+
+def _series(coef, trig):
+    """The Fourier series with coefficients coef at the angle of ``_trig``."""
+    a1, b1, a2, b2, a4, b4 = coef
+    c1, s1, c2, s2, c4, s4 = trig
+    return a1 * c1 + b1 * s1 + a2 * c2 + b2 * s2 + a4 * c4 + b4 * s4
+
+
+def _derivative(coef):
+    return tuple(_ls._derivative(coef).tolist())
+
+
 def _derivative_at(theta, rp, branch, order):
     """order-th theta-derivative of V from the coefficient representation."""
     coef = _ls._coefficients(rp, branch)
     for _ in range(order):
-        coef = _ls._derivative(coef)
-    return _ls._series(coef, _ls._trig(theta))
+        coef = _derivative(coef)
+    return _series(coef, _trig(theta))
 
 
 def _random_setup(rng, two_s=None):
@@ -293,11 +314,43 @@ def test_parameter_scale_floor():
     assert parameter_scale(rp) == 25.0  # floor of 1 kelvin times S^2
 
 
-# Reference kernel: the per-sample bracket loop and the "two full
-# branches, then merge" landscape that the vectorised, owned-only scan
-# replaced. Kept as an oracle the way coherent_expectation is kept; it
-# is built on the same Fourier-series primitives, so results must agree
-# with ==.
+# Reference kernel: the per-sample bracket loop, the scalar Newton
+# polish and the "two full branches, then merge" landscape that the
+# array kernel replaced. Kept as an oracle the way coherent_expectation
+# is kept; it evaluates the same Fourier series one angle at a time with
+# math.sin and math.cos, so results must agree with ==.
+
+
+def _polish_root(lo, hi, d1, d2, tol):
+    """Guarded Newton iteration on the series d1 = V' in one bracket [lo, hi]."""
+    f_lo = _series(d1, _trig(lo))
+    if f_lo == 0.0:
+        return lo
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        trig = _trig(x)
+        fx = _series(d1, trig)
+        if abs(fx) <= tol:
+            return x
+        # shrink the bracket around the sign change
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo = x
+            f_lo = fx
+        else:
+            hi = x
+        dfx = _series(d2, trig)
+        if dfx != 0.0:
+            step = fx / dfx
+            candidate = x - step
+        else:
+            candidate = lo  # force bisection below
+        if lo < candidate < hi:
+            x = candidate
+        else:
+            x = 0.5 * (lo + hi)
+        if hi - lo < 1e-15:
+            return x
+    raise ConvergenceError(f"stationary-point polish did not converge in [{lo!r}, {hi!r}]")
 
 
 def _reference_critical_points(rp, branch):
@@ -308,8 +361,8 @@ def _reference_critical_points(rp, branch):
 
     thetas = _ls._SCAN_THETAS
     coef = _ls._coefficients(rp, branch)
-    c1 = _ls._derivative(coef)
-    c2 = _ls._derivative(c1)
+    c1 = _derivative(coef)
+    c2 = _derivative(c1)
     d1 = _ls._SCAN_BASIS @ c1
 
     if float(np.max(np.abs(d1))) <= 1e-12 * scale:
@@ -328,7 +381,7 @@ def _reference_critical_points(rp, branch):
         if bb == 0.0:
             continue  # the node itself is appended on its own turn
         if (a > 0.0) != (bb > 0.0):
-            roots.append(_ls._polish_root(float(thetas[i]), hi, c1, c2, tol_root))
+            roots.append(_polish_root(float(thetas[i]), hi, c1, c2, tol_root))
 
     roots = [r % two_pi for r in roots]
     roots.sort()
@@ -342,15 +395,15 @@ def _reference_critical_points(rp, branch):
 
     points = []
     for r in merged:
-        trig = _ls._trig(r)
-        curvature = _ls._series(c2, trig)
+        trig = _trig(r)
+        curvature = _series(c2, trig)
         if curvature > tol_flat:
             kind = "minimum"
         elif curvature < -tol_flat:
             kind = "maximum"
         else:
             kind = "inflection"
-        value = rp.offset + _ls._series(coef, trig)
+        value = rp.offset + _series(coef, trig)
         points.append(_ls.CriticalPoint(theta=r, value=value, kind=kind, second_derivative=curvature))
     return points
 
@@ -380,24 +433,30 @@ def _reference_landscape(rp, plus, minus):
     )
 
 
-def _assert_matches_reference(rp):
-    plus, minus = (_reference_critical_points(rp, branch) for branch in (1, -1))
-    assert critical_points(rp, 1) == plus
-    assert critical_points(rp, -1) == minus
-    assert landscape(rp) == _reference_landscape(rp, plus, minus)
+def _assert_matches_reference(rps):
+    """Each branch scan, each landscape, and the batch of all of them."""
+    reports = []
+    for rp in rps:
+        plus, minus = (_reference_critical_points(rp, branch) for branch in (1, -1))
+        assert critical_points(rp, 1) == plus
+        assert critical_points(rp, -1) == minus
+        reports.append(_reference_landscape(rp, plus, minus))
+        assert landscape(rp) == reports[-1]
+    assert landscapes(rps) == reports
 
 
 def test_scan_matches_reference_loop_on_random_params():
     rng = np.random.default_rng(1234)
+    rps = []
     for two_s in (4, 10, 20, 60):
         for _ in range(80):
             on = rng.uniform(size=5) < 0.8  # switch terms off so special cases show up
-            rp = ReducedParams(
+            rps.append(ReducedParams(
                 r1=rng.normal() * on[0], r2=rng.normal() * on[1], r3=rng.normal() * on[2],
                 r4=rng.normal() * 1e-2 * on[3], r5=rng.normal() * 1e-2 * on[4],
                 system=SpinSystem(two_s),
-            )
-            _assert_matches_reference(rp)
+            ))
+    _assert_matches_reference(rps)
 
 
 @pytest.mark.parametrize("r3, r4, node", [
@@ -411,7 +470,7 @@ def test_scan_matches_reference_loop_on_random_params():
 def test_scan_root_on_a_sample_node(r3, r4, node):
     rp = ReducedParams(r1=0.0, r2=0.0, r3=r3, r4=r4, r5=0.0, system=SpinSystem(10))
     assert any(p.theta == node for p in critical_points(rp, 1))
-    _assert_matches_reference(rp)
+    _assert_matches_reference([rp])
 
 
 @pytest.mark.parametrize("offset", [math.pi / _ls.SCAN_SAMPLES, 0.5 * _ls._POLE_TOL])
@@ -424,13 +483,15 @@ def test_scan_root_in_the_wraparound_bracket(offset):
     )
     last = 2.0 * math.pi * (1.0 - 1.0 / _ls.SCAN_SAMPLES)
     assert any(last < p.theta < 2.0 * math.pi for p in critical_points(rp, 1))
-    _assert_matches_reference(rp)
+    _assert_matches_reference([rp])
 
 
 def test_scan_flat_potential_matches_reference():
-    rp = ReducedParams(r1=0.0, r2=0.0, r3=0.0, r4=0.0, r5=0.0, system=SpinSystem(10))
-    assert critical_points(rp, 1) == []
-    _assert_matches_reference(rp)
+    flat = ReducedParams(r1=0.0, r2=0.0, r3=0.0, r4=0.0, r5=0.0, system=SpinSystem(10))
+    assert critical_points(flat, 1) == []
+    # alone, inside a batch of live nodes, and the empty batch
+    for rps in ([flat], [replace(flat, r3=-1.0), flat, replace(flat, r2=0.3, r3=0.5)], []):
+        _assert_matches_reference(rps)
 
 
 @pytest.mark.parametrize("r3, r4", [(0.5, 0.0), (-0.5, 0.05)])
@@ -453,13 +514,36 @@ def test_mirrored_minima_have_bit_equal_values(r3, r4):
 
 
 def test_polish_root_raises_when_iterations_run_out():
-    # V' = sin(theta) has its root 3*pi inside [9, 9.5], and a negative
-    # tolerance rules out the |V'| exit. Above 8 adjacent floats are
-    # 1.8e-15 apart, so the bracket closes onto two of them but never
-    # gets narrower than the 1e-15 floor.
-    sine = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        _ls._polish_root(9.0, 9.5, sine, _ls._derivative(sine), -1.0)
+    # V' = sin(theta) has its roots pi, 2*pi and 3*pi inside the three
+    # brackets. On the last a negative tolerance rules out the |V'|
+    # exit, and above 8 adjacent floats are 1.8e-15 apart, so that
+    # bracket closes onto two of them but never gets narrower than the
+    # 1e-15 floor; the other two converge in the same batch.
+    sine = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]] * 3)
+    lo, hi = np.array([3.0, 6.0, 9.0]), np.array([3.5, 6.5, 9.5])
+    tol = np.array([1e-12, 1e-12, -1.0])
+    with pytest.raises(ConvergenceError, match=r"did not converge in \[9\.42"):
+        _ls._polish(lo, hi, sine, _ls._derivative(sine), tol)
+    roots = _ls._polish(lo[:2], hi[:2], sine[:2], _ls._derivative(sine[:2]), tol[:2])
+    assert np.all(np.abs(roots - [math.pi, 2.0 * math.pi]) < 1e-12)
+
+
+def test_array_trig_rounds_like_math():
+    # The array polish repeats the scalar polish bit for bit only if
+    # np.cos and np.sin round every float64 angle k*theta exactly as
+    # math.cos and math.sin do; some vectorised math libraries differ in
+    # the last bit.
+    theta = np.random.default_rng(314).uniform(0.0, 2.0 * math.pi, 20000)
+    for k in (1.0, 2.0, 4.0):
+        x = k * theta
+        for array_f, scalar_f in ((np.cos, math.cos), (np.sin, math.sin)):
+            scalar = np.array([scalar_f(v) for v in x.tolist()])
+            differ = np.flatnonzero(array_f(x) != scalar)
+            assert differ.size == 0, (
+                f"np.{array_f.__name__} differs from math.{scalar_f.__name__} at "
+                f"{differ.size} of {x.size} angles {k:g}*theta (first {x[differ[0]]!r}); on this "
+                "platform landscapes() cannot match the scalar polish bit for bit"
+            )
 
 
 def _alternate(points):

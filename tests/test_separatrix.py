@@ -13,6 +13,7 @@ from spinscape import (
     SpinSystem,
     classify_cell_edges,
     landscape,
+    landscapes,
     parameter_scale,
     sweep_crossings,
 )
@@ -195,6 +196,16 @@ _COUNTS = (2, 2)
 _THETAS = (0.5, 2.5)
 
 
+def _run(steps, feature_at):
+    """Answer each probe t of a refinement with feature_at(t); its result."""
+    try:
+        t = next(steps)
+        while True:
+            t = steps.send(feature_at(t))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _bisect_maxwell(feature_at, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv):
     lo, hi = 0.0, 1.0
     ref = ref_pair
@@ -264,7 +275,7 @@ def _random_edges(draws):
         a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
 
         def feature_at(t, rp=rp, axis=axis, a=a, b=b):
-            return _sep._feature(_sep._with_value(rp, axis, a + t * (b - a)))
+            return _sep._feature(landscape(_sep._with_value(rp, axis, a + t * (b - a))))
 
         yield rp, which, feature_at
 
@@ -295,8 +306,8 @@ class _ScriptedEdge:
 
     def refine(self):
         d_lo, d_hi = self.gap(0.0), self.gap(1.0)
-        gap_at = _sep._tracked_gap(self.feature_at, _COUNTS, _pair(d_lo), "min_pair", _sep._delta)
-        return _sep._refine(gap_at, d_lo, d_hi, MAXWELL_REFINE, _TOL_DV)
+        gap_of = _sep._tracked_gap(_COUNTS, _pair(d_lo), "min_pair", _sep._delta)
+        return _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, _TOL_DV), self.feature_at)
 
     def replay(self):
         """Check each probe against the bracket the probes before it left.
@@ -387,8 +398,8 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
             continue
         cases += 1
         tol_dv = 1e-10 * parameter_scale(rp)
-        gap_at = _sep._tracked_gap(feature_at, fa.counts, pa, which, _sep._delta)
-        t_new = _sep._refine(gap_at, d_lo, d_hi, MAXWELL_REFINE, tol_dv)
+        gap_of = _sep._tracked_gap(fa.counts, pa, which, _sep._delta)
+        t_new = _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, tol_dv), feature_at)
         t_ref = _bisect_maxwell(feature_at, pa, fa.counts, which, d_lo, MAXWELL_REFINE, tol_dv)
         if abs(t_new - t_ref) <= MAXWELL_REFINE:
             continue
@@ -408,9 +419,12 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
         fa, fb = feature_at(0.0), feature_at(1.0)
         if fa.degenerate or fb.degenerate:
             continue
-        events = _sep._classify_edge(
-            feature_at, fa, fb, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
-        )
+        events = [
+            (kind, _run(steps, feature_at))
+            for kind, steps in _sep._classify_edge(
+                fa, fb, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
+            )
+        ]
         if fa.counts != fb.counts:
             count_changes += 1
             assert events == [
@@ -430,29 +444,33 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
 
 
 def _refine_costs(monkeypatch, plane):
-    """[d_hi, landscape calls] of every _refine call on the plane."""
+    """[d_hi, probes] of every _refine call on the plane, and the number
+    of parameter sets of every landscapes call."""
     costs = []
-    state = {"refining": False}
+    batches = []
 
-    def counting_landscape(*args, **kwargs):
-        if state["refining"]:
-            costs[-1][1] += 1
-        return landscape(*args, **kwargs)
+    def counting_landscapes(rps):
+        batches.append(len(rps))
+        return landscapes(rps)
 
     refine = _sep._refine
 
-    def counting_refine(gap_at, d_lo, d_hi, tol_t, tol_dv):
-        costs.append([d_hi, 0])
-        state["refining"] = True
+    def counting_refine(gap_of, d_lo, d_hi, tol_t, tol_dv):
+        cost = [d_hi, 0]
+        costs.append(cost)
+        steps = refine(gap_of, d_lo, d_hi, tol_t, tol_dv)
         try:
-            return refine(gap_at, d_lo, d_hi, tol_t, tol_dv)
-        finally:
-            state["refining"] = False
+            t = next(steps)
+            while True:
+                cost[1] += 1
+                t = steps.send((yield t))
+        except StopIteration as stop:
+            return stop.value
 
-    monkeypatch.setattr(_sep, "landscape", counting_landscape)
+    monkeypatch.setattr(_sep, "landscapes", counting_landscapes)
     monkeypatch.setattr(_sep, "_refine", counting_refine)
     classify_cell_edges(plane)
-    return costs
+    return costs, batches
 
 
 _COST_PLANES = [(0.0, (21, 17)), (0.01, (24, 16))]
@@ -463,7 +481,8 @@ def test_maxwell_refinement_landscape_calls_per_event(monkeypatch, r5, resolutio
     # r5 = 0 is the acceptance-8 plane; the bisection took ~20 landscape
     # calls per Maxwell event there and ~26 on the r5 = 0.01 plane
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
-    maxwell = [calls for d_hi, calls in _refine_costs(monkeypatch, plane) if d_hi is not None]
+    costs, _ = _refine_costs(monkeypatch, plane)
+    maxwell = [probes for d_hi, probes in costs if d_hi is not None]
     assert len(maxwell) > 0
     assert sum(maxwell) <= 6 * len(maxwell)
 
@@ -471,8 +490,21 @@ def test_maxwell_refinement_landscape_calls_per_event(monkeypatch, r5, resolutio
 @pytest.mark.parametrize("r5, resolution", _COST_PLANES)
 def test_bifurcation_refinement_landscape_calls_per_event(monkeypatch, r5, resolution):
     # a bisection from the whole edge down to BIFURCATION_REFINE = 1e-6
-    # halves the bracket 20 times, one landscape call each
+    # halves the bracket 20 times, one probe each
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
-    bifurcation = [calls for d_hi, calls in _refine_costs(monkeypatch, plane) if d_hi is None]
+    costs, _ = _refine_costs(monkeypatch, plane)
+    bifurcation = [probes for d_hi, probes in costs if d_hi is None]
     assert len(bifurcation) > 0
     assert bifurcation == [20] * len(bifurcation)
+
+
+def test_plane_evaluates_nodes_in_one_call_and_probes_in_rounds(monkeypatch):
+    # the acceptance-8 plane: one landscapes call holds every node, then
+    # every refining event probes once per call, so there are as many
+    # further calls as the longest refinement takes probes
+    plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), (21, 17), _rp(r5=0.0))
+    costs, batches = _refine_costs(monkeypatch, plane)
+    probes = [n for _, n in costs]
+    assert batches[0] == 21 * 17
+    assert len(batches) == 1 + max(probes)
+    assert sum(batches[1:]) == sum(probes)
