@@ -428,29 +428,21 @@ def _polish(
 _Point = tuple[float, float, Kind, float]
 
 
-def _stationary(
-    coef: npt.NDArray[np.float64],
-    offset: npt.NDArray[np.float64],
-    scale: npt.NDArray[np.float64],
-    window: npt.NDArray[np.bool_],
-) -> list[list[_Point]]:
-    """Stationary points of every branch of every node, by one array pass.
+def _scan(
+    d1: npt.NDArray[np.float64], scale: npt.NDArray[np.float64], window: npt.NDArray[np.bool_]
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Zero samples and sign-change brackets of V' on every row.
 
-    coef is (nodes, branches, 6): the Fourier coefficients of V on each
-    branch of each node, whose offset and parameter scale are offset
-    and scale. window is (branches, SCAN_SAMPLES) and marks, per
-    branch, the scan samples whose zeros and brackets are kept. Returns
-    the points of every (node, branch) row, node-major, in theta order.
-
-    A dense scan of V' (one matrix product per row, in chunks of
-    ``_SCAN_BYTES``) finds every sign change; the brackets of all rows
-    are polished by one ``_polish`` call, and the merged roots of all
-    rows are classified by V'' and valued by V together. Rows whose V'
-    is below resolution everywhere (a flat potential) have no points.
+    d1 is (nodes, branches, 6), the coefficients of V'; scale is the
+    parameter scale of each node and window (branches, SCAN_SAMPLES)
+    the samples kept on each branch. Returns the flat indices
+    row * SCAN_SAMPLES + sample, rows node-major, of the samples where
+    V' is 0 and of the brackets [sample, sample + 1) where it changes
+    sign. Rows whose V' is below resolution everywhere (a flat
+    potential) contribute neither. Nodes are scanned in chunks of
+    ``_SCAN_BYTES``, and at most one chunk is in memory at a time.
     """
-    n_nodes, n_branches = coef.shape[:2]
-    n_rows = n_nodes * n_branches
-    d1 = _derivative(coef)
+    n_nodes, n_branches = d1.shape[:2]
     zeros: list[npt.NDArray[np.intp]] = []
     brackets: list[npt.NDArray[np.intp]] = []
     peaks: list[npt.NDArray[np.float64]] = []
@@ -472,15 +464,43 @@ def _stationary(
         flat = slope.ravel()
         nxt = change + np.where(change % SCAN_SAMPLES == SCAN_SAMPLES - 1, 1 - SCAN_SAMPLES, 1)
         brackets.append(change[(flat[change] != 0.0) & (flat[nxt] != 0.0)] + base)
+        del slope, flat  # free this chunk before the next one is computed
 
+    live = np.concatenate(peaks) > 1e-12 * np.repeat(scale, n_branches)
+    at_zero = np.concatenate(zeros)
+    at_bracket = np.concatenate(brackets)
+    return (
+        at_zero[live[at_zero // SCAN_SAMPLES]],
+        at_bracket[live[at_bracket // SCAN_SAMPLES]],
+    )
+
+
+def _stationary(
+    coef: npt.NDArray[np.float64],
+    offset: npt.NDArray[np.float64],
+    scale: npt.NDArray[np.float64],
+    window: npt.NDArray[np.bool_],
+) -> list[list[_Point]]:
+    """Stationary points of every branch of every node, by one array pass.
+
+    coef is (nodes, branches, 6): the Fourier coefficients of V on each
+    branch of each node, whose offset and parameter scale are offset
+    and scale. window is (branches, SCAN_SAMPLES) and marks, per
+    branch, the scan samples whose zeros and brackets are kept. Returns
+    the points of every (node, branch) row, node-major, in theta order.
+
+    ``_scan`` finds every sign change of V' (one matrix product per
+    row); the brackets of all rows are polished by one ``_polish`` call,
+    and the merged roots of all rows are classified by V'' and valued
+    by V together.
+    """
+    n_nodes, n_branches = coef.shape[:2]
+    n_rows = n_nodes * n_branches
+    d1 = _derivative(coef)
+    at_zero, at_bracket = _scan(d1, scale, window)
     d1 = d1.reshape(n_rows, 6)
     d2 = _derivative(d1)
     row_scale = np.repeat(scale, n_branches)
-    live = np.concatenate(peaks) > 1e-12 * row_scale
-    at_zero = np.concatenate(zeros)
-    at_bracket = np.concatenate(brackets)
-    at_zero = at_zero[live[at_zero // SCAN_SAMPLES]]
-    at_bracket = at_bracket[live[at_bracket // SCAN_SAMPLES]]
 
     bracket_row, sample = np.divmod(at_bracket, SCAN_SAMPLES)
     polished = _polish(
