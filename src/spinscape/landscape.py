@@ -31,12 +31,19 @@ full great circle through the easy axis. ``landscapes`` makes those
 reports for many parameter sets at once: one kernel scans, polishes and
 classifies the stationary points of every node and branch as whole
 arrays, and every report equals the one a node gets alone.
+
+The separatrix layer builds no reports. Its nodes and probes travel as
+one (n, 5) array of r1..r5 beside the SpinSystem and offset they share,
+and ``_summaries`` reduces the kernel's per-point arrays, by array
+operations, to the landscape summary edge classification reads: each
+node's flat flag, its counts of minima and maxima, and its two lowest
+minima and two highest maxima.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -133,16 +140,40 @@ class LandscapeReport:
         return tuple(p for p in self.points if p.kind == "maximum")
 
 
-def _check_branch(branch: int) -> float:
+def _branch_index(branch: int) -> int:
+    """The branch axis index of ``_coefficients``: 0 for phi = 0, 1 for phi = pi."""
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 (phi = 0) or -1 (phi = pi), got {branch!r}")
-    return float(branch)
+    return 0 if branch == 1 else 1
+
+
+#: The columns of an r-array: row k of an (n, 5) array holds r1..r5 of
+#: node k. The nodes of a plane or a sweep share one SpinSystem and one
+#: offset, which travel beside the array.
+_R_NAMES = ("r1", "r2", "r3", "r4", "r5")
+
+
+def _r_row(rp: ReducedParams) -> npt.NDArray[np.float64]:
+    """r1..r5 of rp as one row of an r-array."""
+    return np.array([rp.r1, rp.r2, rp.r3, rp.r4, rp.r5])
+
+
+def _scales(r: npt.NDArray[np.float64], system: SpinSystem) -> npt.NDArray[np.float64]:
+    """``parameter_scale`` of every row of the r-array r.
+
+    The five magnitudes are added left to right, as the scalar sum
+    |r1| + |r2| + ... + |r5| would be.
+    """
+    magnitude = np.abs(r)
+    total = magnitude[:, 0]
+    for j in range(1, 5):
+        total = total + magnitude[:, j]
+    return np.maximum(1.0, total) * system.s ** 2
 
 
 def parameter_scale(rp: ReducedParams) -> float:
     """Characteristic energy scale used for all landscape tolerances."""
-    total = abs(rp.r1) + abs(rp.r2) + abs(rp.r3) + abs(rp.r4) + abs(rp.r5)
-    return max(1.0, total) * rp.system.s ** 2
+    return float(_scales(_r_row(rp)[None], rp.system)[0])
 
 
 def reduce_params(
@@ -254,28 +285,29 @@ def potential_angular(
     return v
 
 
-def _coefficients(rp: ReducedParams, branch: int) -> tuple[float, ...]:
-    """Fourier coefficients (a1, b1, a2, b2, a4, b4) of V on one branch.
+#: The r-column each Fourier coefficient (a1, b1, a2, b2, a4, b4) reads.
+_COEFFICIENT_COLUMNS = [1, 0, 2, 4, 3, 4]
+
+
+def _coefficients(r: npt.NDArray[np.float64], system: SpinSystem) -> npt.NDArray[np.float64]:
+    """Fourier coefficients (a1, b1, a2, b2, a4, b4) of V on both branches.
 
     V(theta) = offset + sum over k = 1, 2, 4 of a_k cos(k theta) +
     b_k sin(k theta); the in-plane potential has no 3*theta harmonic.
-    Each entry is one r-parameter times one prefactor, so the tuple is
-    linear in r.
+    r is an (n, 5) r-array and the result is (n, 2, 6), the phi = 0
+    branch before the phi = pi one. Each entry is one r-parameter times
+    one prefactor, so the coefficients are linear in r; a matrix product
+    would add zero terms and could turn -0.0 into +0.0.
     """
-    b = _check_branch(branch)
-    s = rp.system.s
-    n = rp.system.two_s
+    s = system.s
+    n = system.two_s
     quad = s * (n - 1) / 4.0
     zeeman = G_FACTOR * s
     quart = s * (n - 1) * (n - 2) * (n - 3) / 64.0
-    return (
-        -zeeman * rp.r2,
-        b * zeeman * rp.r1,
-        quad * rp.r3,
-        -2.0 * b * quart * rp.r5,
-        quart * rp.r4,
-        b * quart * rp.r5,
-    )
+    prefactors = np.array([
+        [-zeeman, b * zeeman, quad, -2.0 * b * quart, quart, b * quart] for b in (1.0, -1.0)
+    ])
+    return r[:, None, _COEFFICIENT_COLUMNS] * prefactors
 
 
 #: The harmonics k of the series, in the order of the coefficient tuple.
@@ -358,7 +390,8 @@ def potential_reduced(
     Equals ``potential_angular(theta, 0 or pi)`` to rounding error when
     the r-parameters and offset come from ``reduce_params``.
     """
-    v = rp.offset + _basis(theta) @ _coefficients(rp, branch)
+    coef = _coefficients(_r_row(rp)[None], rp.system)[0, _branch_index(branch)]
+    v = rp.offset + _basis(theta) @ coef
     if v.ndim == 0:
         return float(v)
     return v
@@ -423,11 +456,6 @@ def _polish(
     return root
 
 
-#: A stationary point before it becomes a CriticalPoint: theta, value,
-#: kind, second derivative.
-_Point = tuple[float, float, Kind, float]
-
-
 def _scan(
     d1: npt.NDArray[np.float64], scale: npt.NDArray[np.float64], window: npt.NDArray[np.bool_]
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
@@ -475,19 +503,56 @@ def _scan(
     )
 
 
+#: Kind codes of the stationary points ``_stationary`` returns: the sign
+#: of the curvature beyond resolution.
+_MINIMUM, _MAXIMUM = 1, -1
+_KIND_NAMES: dict[int, Kind] = {1: "minimum", -1: "maximum", 0: "inflection"}
+
+
+def _distinct(row: npt.NDArray[np.intp], theta: npt.NDArray[np.float64]) -> npt.NDArray[np.bool_]:
+    """Which roots are distinct points, given roots ordered by row and theta.
+
+    A root closer than MERGE_TOL to the last root kept on its row is the
+    same point, and so is a last root that close to the first across
+    2*pi. The rule compares with the last root kept, not with the
+    previous root, so only rows that hold such a close pair are walked
+    root by root.
+    """
+    two_pi = 2.0 * math.pi
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    last = np.flatnonzero(np.diff(row, append=row[-1:] + 1))
+    close = np.flatnonzero((row[1:] == row[:-1]) & (np.diff(theta) < MERGE_TOL))
+    wraps = (last > first) & (two_pi - theta[last] + theta[first] < MERGE_TOL)
+    keep = np.ones(row.size, dtype=bool)
+    for k in np.union1d(np.searchsorted(first, close, side="right") - 1, np.flatnonzero(wraps)):
+        kept = [first[k]]
+        for i in range(first[k] + 1, last[k] + 1):
+            if theta[i] - theta[kept[-1]] < MERGE_TOL:
+                keep[i] = False
+            else:
+                kept.append(i)
+        if len(kept) > 1 and two_pi - theta[kept[-1]] + theta[kept[0]] < MERGE_TOL:
+            keep[kept[-1]] = False
+    return keep
+
+
 def _stationary(
     coef: npt.NDArray[np.float64],
     offset: npt.NDArray[np.float64],
     scale: npt.NDArray[np.float64],
     window: npt.NDArray[np.bool_],
-) -> list[list[_Point]]:
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.float64],
+           npt.NDArray[np.float64], npt.NDArray[np.int_]]:
     """Stationary points of every branch of every node, by one array pass.
 
     coef is (nodes, branches, 6): the Fourier coefficients of V on each
     branch of each node, whose offset and parameter scale are offset
     and scale. window is (branches, SCAN_SAMPLES) and marks, per
     branch, the scan samples whose zeros and brackets are kept. Returns
-    the points of every (node, branch) row, node-major, in theta order.
+    one entry per stationary point, ordered by row and then theta: its
+    (node, branch) row, node-major; theta in [0, 2*pi); value;
+    curvature; and kind, ``_MINIMUM``, ``_MAXIMUM`` or 0 for an
+    inflection.
 
     ``_scan`` finds every sign change of V' (one matrix product per
     row); the brackets of all rows are polished by one ``_polish`` call,
@@ -507,40 +572,31 @@ def _stationary(
         _SCAN_THETAS[sample], _SCAN_HI[sample], d1[bracket_row], d2[bracket_row],
         1e-12 * row_scale[bracket_row],
     )
-
-    found: list[list[float]] = [[] for _ in range(n_rows)]
     zero_row, sample = np.divmod(at_zero, SCAN_SAMPLES)
-    for r, theta in zip(zero_row.tolist(), _SCAN_THETAS[sample].tolist()):
-        found[r].append(theta)
-    for r, theta in zip(bracket_row.tolist(), polished.tolist()):
-        found[r].append(theta)
+    row = np.concatenate([zero_row, bracket_row])
+    theta = np.concatenate([_SCAN_THETAS[sample], polished]) % (2.0 * math.pi)
+    order = np.lexsort((theta, row))
+    row, theta = row[order], theta[order]
+    keep = _distinct(row, theta)
+    row, theta = row[keep], theta[keep]
 
-    two_pi = 2.0 * math.pi
-    thetas: list[float] = []
-    owners: list[int] = []
-    for r, roots in enumerate(found):
-        merged: list[float] = []
-        for theta in sorted(t % two_pi for t in roots):
-            if merged and theta - merged[-1] < MERGE_TOL:
-                continue
-            merged.append(theta)
-        if len(merged) > 1 and (two_pi - merged[-1] + merged[0]) < MERGE_TOL:
-            merged.pop()
-        thetas += merged
-        owners += [r] * len(merged)
-
-    row = np.array(owners, dtype=np.intp)
-    trig = _basis(thetas)
+    trig = _basis(theta)
     curvature = _series(d2[row], trig)
     value = np.repeat(offset, n_branches)[row] + _series(coef.reshape(n_rows, 6)[row], trig)
     tol_flat = 1e-9 * row_scale[row]
-    kinds = np.where(
-        curvature > tol_flat, "minimum", np.where(curvature < -tol_flat, "maximum", "inflection")
-    )
-    points: list[list[_Point]] = [[] for _ in range(n_rows)]
-    for r, point in zip(owners, zip(thetas, value.tolist(), kinds.tolist(), curvature.tolist())):
-        points[r].append(point)
-    return points
+    kind = np.where(curvature > tol_flat, _MINIMUM, np.where(curvature < -tol_flat, _MAXIMUM, 0))
+    return row, theta, value, curvature, kind
+
+
+def _points(
+    theta: npt.NDArray[np.float64], value: npt.NDArray[np.float64],
+    curvature: npt.NDArray[np.float64], kind: npt.NDArray[np.int_],
+) -> list[CriticalPoint]:
+    """CriticalPoints from the per-point arrays of ``_stationary``."""
+    return [
+        CriticalPoint(t, v, _KIND_NAMES[k], c)
+        for t, v, k, c in zip(theta.tolist(), value.tolist(), kind.tolist(), curvature.tolist())
+    ]
 
 
 def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
@@ -555,9 +611,86 @@ def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
     Returns an empty list only for the flat (all parameters negligible)
     potential, which callers should treat as degenerate.
     """
-    coef = np.array([[_coefficients(rp, branch)]])
-    (points,) = _stationary(coef, np.array([rp.offset]), np.array([parameter_scale(rp)]), _WHOLE)
-    return [CriticalPoint(*p) for p in points]
+    r = _r_row(rp)[None]
+    b = _branch_index(branch)
+    coef = _coefficients(r, rp.system)[:, b:b + 1]
+    _, *point = _stationary(coef, np.array([rp.offset]), _scales(r, rp.system), _WHOLE)
+    return _points(*point)
+
+
+def _on_circle(
+    coef: npt.NDArray[np.float64], offset: npt.NDArray[np.float64], scale: npt.NDArray[np.float64],
+) -> tuple[npt.NDArray[np.bool_], npt.NDArray[np.intp], npt.NDArray[np.float64],
+           npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.int_]]:
+    """The stationary structure of every node on the great circle.
+
+    coef, offset and scale are those of ``_stationary`` with both
+    branches. Returns the flat-potential flag of every node, then the
+    node, theta, value, curvature and kind of every point, ordered by
+    node and then theta. The phi = 0 branch owns theta in [0, pi]
+    (poles included) and the phi = pi branch owns the open interval,
+    mirrored onto (pi, 2*pi); points of equal theta keep that order.
+    """
+    row, theta, value, curvature, kind = _stationary(coef, offset, scale, _OWNED)
+    node, branch = np.divmod(row, 2)
+    degenerate = np.bincount(node, minlength=len(coef)) == 0
+    two_pi = 2.0 * math.pi
+    plus = branch == 0
+    owned = np.where(
+        plus,
+        (theta <= math.pi + _POLE_TOL) | (theta >= two_pi - _POLE_TOL),
+        (_POLE_TOL < theta) & (theta < math.pi - _POLE_TOL),
+    )
+    theta = np.where(plus, theta, two_pi - theta)
+    at = np.flatnonzero(owned)
+    at = at[np.lexsort((theta[at], node[at]))]
+    return degenerate, node[at], theta[at], value[at], curvature[at], kind[at]
+
+
+class _Summary(NamedTuple):
+    """What edge classification needs to know about the landscapes of n nodes.
+
+    counts[i] is (n_minima, n_maxima) of node i. Pair 0 is its two
+    lowest minima and pair 1 its two highest maxima: theta[i, p] and
+    value[i, p] hold pair p in theta order, and absent[i, p] marks a
+    node with fewer than two such points, whose entries are 0. A
+    degenerate (flat) node has counts (0, 0) and no pairs.
+    """
+
+    degenerate: npt.NDArray[np.bool_]  # (n,)
+    counts: npt.NDArray[np.intp]  # (n, 2)
+    theta: npt.NDArray[np.float64]  # (n, 2, 2)
+    value: npt.NDArray[np.float64]  # (n, 2, 2)
+    absent: npt.NDArray[np.bool_]  # (n, 2)
+
+
+def _summaries(r: npt.NDArray[np.float64], system: SpinSystem, offset: float) -> _Summary:
+    """The summary of the landscape at every row of the r-array r.
+
+    Every node shares system and offset. One kernel call covers them
+    all, and each node's summary is the one it gets alone.
+    """
+    n = len(r)
+    degenerate, node, theta, value, _, kind = _on_circle(
+        _coefficients(r, system), np.full(n, offset), _scales(r, system)
+    )
+    counts = np.zeros((n, 2), dtype=np.intp)
+    pair_theta = np.zeros((n, 2, 2))
+    pair_value = np.zeros((n, 2, 2))
+    for p, (code, key) in enumerate(((_MINIMUM, value), (_MAXIMUM, -value))):
+        # each node's points of this kind, lowest key first; lexsort is
+        # stable, so equal values stay in theta order
+        at = np.flatnonzero(kind == code)
+        at = at[np.lexsort((key[at], node[at]))]
+        counts[:, p] = np.bincount(node[at], minlength=n)
+        start = np.searchsorted(node[at], np.arange(n))
+        has = counts[:, p] >= 2
+        one, two = at[start[has]], at[start[has] + 1]
+        ordered = theta[one] <= theta[two]
+        one, two = np.where(ordered, one, two), np.where(ordered, two, one)
+        pair_theta[has, p] = np.stack([theta[one], theta[two]], axis=-1)
+        pair_value[has, p] = np.stack([value[one], value[two]], axis=-1)
+    return _Summary(degenerate, counts, pair_theta, pair_value, counts < 2)
 
 
 #: Tolerance factor for calling two minima degenerate in a landscape.
@@ -577,11 +710,20 @@ def landscapes(rps: Sequence[ReducedParams]) -> list[LandscapeReport]:
     rps = list(rps)
     if not rps:
         return []
-    coef = np.array([[_coefficients(rp, 1), _coefficients(rp, -1)] for rp in rps])
-    offset = np.array([rp.offset for rp in rps])
-    scales = [parameter_scale(rp) for rp in rps]
-    rows = _stationary(coef, offset, np.array(scales), _OWNED)
-    return [_report(rows[2 * k], rows[2 * k + 1], scale) for k, scale in enumerate(scales)]
+    r = np.array([_r_row(rp) for rp in rps])
+    coef = np.empty((len(rps), 2, 6))
+    scale = np.empty(len(rps))
+    for system in {rp.system for rp in rps}:
+        of = np.array([rp.system == system for rp in rps])
+        coef[of] = _coefficients(r[of], system)
+        scale[of] = _scales(r[of], system)
+    degenerate, node, *point = _on_circle(coef, np.array([rp.offset for rp in rps]), scale)
+    points = _points(*point)
+    bounds = np.searchsorted(node, np.arange(len(rps) + 1)).tolist()
+    return [
+        _report(points[bounds[k]:bounds[k + 1]], flat, scale_k)
+        for k, (flat, scale_k) in enumerate(zip(degenerate.tolist(), scale.tolist()))
+    ]
 
 
 def landscape(rp: ReducedParams) -> LandscapeReport:
@@ -597,9 +739,9 @@ def landscape(rp: ReducedParams) -> LandscapeReport:
     return landscapes([rp])[0]
 
 
-def _report(plus: list[_Point], minus: list[_Point], scale: float) -> LandscapeReport:
-    """Merge the owned points of both branches of one node into its report."""
-    if not plus and not minus:
+def _report(points: list[CriticalPoint], degenerate: bool, scale: float) -> LandscapeReport:
+    """The report of one node from its points on the circle, in theta order."""
+    if degenerate:
         return LandscapeReport(
             points=(),
             n_minima=0,
@@ -609,18 +751,8 @@ def _report(plus: list[_Point], minus: list[_Point], scale: float) -> LandscapeR
             degenerate=True,
         )
 
-    two_pi = 2.0 * math.pi
-    merged: list[CriticalPoint] = []
-    for theta, value, kind, curvature in plus:
-        if theta <= math.pi + _POLE_TOL or theta >= two_pi - _POLE_TOL:
-            merged.append(CriticalPoint(theta, value, kind, curvature))
-    for theta, value, kind, curvature in minus:
-        if _POLE_TOL < theta < math.pi - _POLE_TOL:
-            merged.append(CriticalPoint(two_pi - theta, value, kind, curvature))
-    merged.sort(key=lambda p: p.theta % two_pi)
-
-    minima = [p for p in merged if p.kind == "minimum"]
-    maxima = [p for p in merged if p.kind == "maximum"]
+    minima = [p for p in points if p.kind == "minimum"]
+    maxima = [p for p in points if p.kind == "maximum"]
     global_minimum: CriticalPoint | None = None
     tie = False
     if minima:
@@ -629,7 +761,7 @@ def _report(plus: list[_Point], minus: list[_Point], scale: float) -> LandscapeR
         tie = sum(1 for p in minima if p.value - global_minimum.value <= tie_tol) >= 2
 
     return LandscapeReport(
-        points=tuple(merged),
+        points=tuple(points),
         n_minima=len(minima),
         n_maxima=len(maxima),
         global_minimum=global_minimum,

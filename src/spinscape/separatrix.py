@@ -16,34 +16,38 @@ which makes the secant a bisection. No closed-form discriminants are
 used, which keeps the machinery correct for the full five-parameter
 potential.
 
-Landscapes are evaluated in batches. A plane or a sweep summarizes
-all its grid nodes with one ``landscapes`` call. Each event's
+Landscapes are evaluated in batches. A plane or a sweep writes its
+grid nodes as one (n, 5) array of r1..r5 and summarizes them all with
+one ``landscape._summaries`` call, and every edge is classified by
+array comparisons of the summaries at its two ends. Each event's
 refinement is a generator that yields the edge fraction it wants to
 probe and is sent the landscape summary there, so the events of a
-whole plane advance in lockstep rounds: one ``landscapes`` call per
-round evaluates the next probe of every event still refining. Each
-event sees exactly the probes it would see if it were refined alone.
+whole plane advance in lockstep rounds: each round writes the next
+probe of every event still refining as one array and summarizes it
+with one call. Each event sees exactly the probes it would see if it
+were refined alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
 from .landscape import (
-    CriticalPoint,
-    LandscapeReport,
+    _R_NAMES,
     ReducedParams,
-    landscapes,
+    SpinSystem,
+    _r_row,
+    _Summary,
+    _summaries,
     parameter_scale,
 )
 
 #: Selectors naming a plane axis. bz and bx are aliases for the field
 #: components r2 and r1.
 _ALIASES = {"bz": "r2", "bx": "r1"}
-_R_NAMES = ("r1", "r2", "r3", "r4", "r5")
 
 #: A tracked well may move at most this far in theta between two
 #: adjacent evaluations and still count as the same well.
@@ -71,10 +75,6 @@ def _canonical_axis(name: str) -> str:
             f"unknown axis selector {name!r}; expected one of {_R_NAMES + tuple(_ALIASES)}"
         )
     return axis
-
-
-def _with_value(rp: ReducedParams, axis: str, value: float) -> ReducedParams:
-    return replace(rp, **{axis: float(value)})
 
 
 @dataclass(frozen=True)
@@ -144,64 +144,38 @@ class SweepResult:
     maxwell_maxima_values: tuple[float, ...]
 
 
-Pair = tuple[CriticalPoint, CriticalPoint]
-
-
-@dataclass(frozen=True)
-class _Feature:
-    """What edge classification needs to know about one landscape."""
-
-    degenerate: bool
-    counts: tuple[int, int]
-    min_pair: Pair | None
-    max_pair: Pair | None
-
+#: A probe's landscape summary: the summaries of one batch of nodes and
+#: the probe's row among them.
+Probe = tuple[_Summary, int]
 
 #: The signed indicator of one edge event in the landscape summary of a
 #: probe, or None where the structure tracked from t = 0 is lost.
-GapOf = Callable[[_Feature], float | None]
+GapOf = Callable[[Probe], float | None]
 
 #: An edge event being refined: it yields each edge fraction t in
 #: [0, 1] it probes, is sent the landscape summary at t, and returns the
 #: event's edge fraction.
-Refinement = Generator[float, _Feature, float]
+Refinement = Generator[float, Probe, float]
 
 
-def _theta_ordered(a: CriticalPoint, b: CriticalPoint) -> Pair:
-    return (a, b) if a.theta <= b.theta else (b, a)
+def _match(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Align the pair angles cand onto ref by angular proximity.
+
+    Pairs run along the last axis. Returns whether cand aligns swapped,
+    and whether it aligns at all: tracking breaks where neither order
+    keeps both points within MATCH_TOL.
+    """
+    # d[..., a, b] is the circular distance from ref[a] to cand[b]
+    d = np.abs(ref[..., :, None] - cand[..., None, :]) % (2.0 * math.pi)
+    d = np.minimum(d, 2.0 * math.pi - d)
+    keep = np.maximum(d[..., 0, 0], d[..., 1, 1])
+    swap = np.maximum(d[..., 0, 1], d[..., 1, 0])
+    return swap < keep, np.minimum(keep, swap) <= MATCH_TOL
 
 
-def _feature(rep: LandscapeReport) -> _Feature:
-    if rep.degenerate:
-        return _Feature(True, (0, 0), None, None)
-    minima = sorted(rep.minima(), key=lambda p: p.value)
-    maxima = sorted(rep.maxima(), key=lambda p: -p.value)
-    min_pair = _theta_ordered(minima[0], minima[1]) if len(minima) >= 2 else None
-    max_pair = _theta_ordered(maxima[0], maxima[1]) if len(maxima) >= 2 else None
-    return _Feature(False, (rep.n_minima, rep.n_maxima), min_pair, max_pair)
-
-
-def _features(rps: list[ReducedParams]) -> list[_Feature]:
-    """The summary of every landscape in rps, from one ``landscapes`` call."""
-    return [_feature(rep) for rep in landscapes(rps)]
-
-
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
-
-
-def _match(ref: Pair, cand: Pair) -> Pair | None:
-    """Align cand onto ref by angular proximity, or None if tracking breaks."""
-    keep = max(_circ_dist(ref[0].theta, cand[0].theta), _circ_dist(ref[1].theta, cand[1].theta))
-    swap = max(_circ_dist(ref[0].theta, cand[1].theta), _circ_dist(ref[1].theta, cand[0].theta))
-    if keep <= swap:
-        return cand if keep <= MATCH_TOL else None
-    return (cand[1], cand[0]) if swap <= MATCH_TOL else None
-
-
-def _delta(pair: Pair) -> float:
-    return pair[0].value - pair[1].value
+def _delta(value: np.ndarray) -> np.ndarray:
+    """The gap value[..., 0] - value[..., 1] of pairs along the last axis."""
+    return value[..., 0] - value[..., 1]
 
 
 def _refine(gap_of: GapOf, d_lo: float, d_hi: float | None, tol_t: float, tol_dv: float) -> Refinement:
@@ -252,87 +226,106 @@ def _settled(t: float) -> Refinement:
     return t
 
 
-def _tracked_gap(counts: tuple[int, int], ref: Pair, which: str, gap: Callable[[Pair], float]) -> GapOf:
-    """gap(pair) of the pair which, tracked from ref at t = 0.
+def _same_counts(counts: np.ndarray) -> GapOf:
+    """1.0 where a probe keeps the stationary counts of t = 0, else None."""
 
-    None where the counts change or the pair no longer matches ref. ref
-    moves only on probes whose gap keeps the sign of t = 0's, so it
-    stays on the near side of the event.
-    """
-    positive = gap(ref) > 0.0
-
-    def gap_of(fm: _Feature) -> float | None:
-        nonlocal ref
-        pair = getattr(fm, which)
-        if fm.degenerate or fm.counts != counts or pair is None:
-            return None
-        matched = _match(ref, pair)
-        if matched is None:
-            return None
-        value = gap(matched)
-        if (value > 0.0) == positive:
-            ref = matched
-        return value
+    def gap_of(probe: Probe) -> float | None:
+        s, i = probe
+        return 1.0 if not s.degenerate[i] and (s.counts[i] == counts).all() else None
 
     return gap_of
 
 
-def _classify_edge(
-    fa: _Feature,
-    fb: _Feature,
-    scale: float,
-    tol_bif: float,
-    tol_mx: float,
-) -> list[tuple[str, Refinement]]:
-    """Classify one grid edge; returns (category, refinement) events."""
-    if fa.degenerate or fb.degenerate:
-        return []
-    if fa.counts != fb.counts:
+def _tracked_gap(
+    counts: np.ndarray, theta: np.ndarray, value: np.ndarray, pair: int,
+    gap: Callable[[np.ndarray], float],
+) -> GapOf:
+    """gap(values) of pair ``pair`` (0 minima, 1 maxima), tracked from
+    the angles theta and values value it has at t = 0.
 
-        def same_counts(fm: _Feature) -> float | None:
-            return 1.0 if not fm.degenerate and fm.counts == fa.counts else None
+    None where the counts change or the pair no longer matches the
+    reference angles. Those move only on probes whose gap keeps the
+    sign of t = 0's, so they stay on the near side of the event.
+    """
+    positive = gap(value) > 0.0
 
-        return [("bifurcation", _refine(same_counts, 1.0, None, tol_bif, 0.0))]
+    def gap_of(probe: Probe) -> float | None:
+        nonlocal theta
+        s, i = probe
+        if s.degenerate[i] or s.absent[i, pair] or not (s.counts[i] == counts).all():
+            return None
+        swapped, aligned = _match(theta, s.theta[i, pair])
+        if not aligned:
+            return None
+        step = -1 if swapped else 1
+        found = float(gap(s.value[i, pair, ::step]))
+        if (found > 0.0) == positive:
+            theta = s.theta[i, pair, ::step]
+        return found
 
-    events: list[tuple[str, Refinement]] = []
+    return gap_of
+
+
+def _classify_edges(
+    s: _Summary, lo: np.ndarray, hi: np.ndarray, scale: float, tol_bif: float, tol_mx: float,
+) -> list[tuple[int, str, Refinement]]:
+    """Classify the edges from node lo[j] to node hi[j] of s at once.
+
+    Returns (j, kind, refinement) for every event. An edge between
+    nodes whose stationary counts differ carries a bifurcation. Between
+    equal counts, each pair of lowest minima or highest maxima that
+    both nodes have is matched across the edge: a pair that cannot be
+    tracked is a bifurcation too, and a sign change of its gap is a
+    Maxwell event.
+    """
+    live = ~(s.degenerate[lo] | s.degenerate[hi])
+    changed = live & (s.counts[lo] != s.counts[hi]).any(axis=1)
+    events = [
+        (j, "bifurcation", _refine(_same_counts(s.counts[lo[j]]), 1.0, None, tol_bif, 0.0))
+        for j in np.flatnonzero(changed).tolist()
+    ]
     tol_dv = 1e-10 * scale
-    for category, which in (("maxwell_minima", "min_pair"), ("maxwell_maxima", "max_pair")):
-        pa = getattr(fa, which)
-        pb = getattr(fb, which)
-        if pa is None or pb is None:
-            continue
-        matched = _match(pa, pb)
-        if matched is None:
-            # birth or death of a tracked well with unchanged totals:
-            # still a change of landscape character, filed as bifurcation
-            tracking = _tracked_gap(fa.counts, pa, which, lambda pair: 1.0)
-            events.append(("bifurcation", _refine(tracking, 1.0, None, tol_bif, 0.0)))
-            continue
-        d_lo = _delta(pa)
-        d_hi = _delta(matched)
-        if d_lo == 0.0:
-            # exactly on the degeneracy locus at the lower endpoint.
-            # Report it here (the neighboring edge that entered the
-            # locus sees d_hi == 0 and stays silent), but only if the
-            # degeneracy is isolated: when the whole edge lies on the
-            # locus, as happens for an easy-plane ring whose two
-            # in-plane slices are one connected physical well, an
-            # event per edge would flood the output.
-            if d_hi != 0.0:
-                events.append((category, _settled(0.0)))
-        elif d_hi != 0.0 and (d_lo > 0.0) != (d_hi > 0.0):
-            gap_of = _tracked_gap(fa.counts, pa, which, _delta)
-            events.append((category, _refine(gap_of, d_lo, d_hi, tol_mx, tol_dv)))
+    for pair, kind in enumerate(KINDS[1:]):
+        both = live & ~changed & ~s.absent[lo, pair] & ~s.absent[hi, pair]
+        theta, value = s.theta[lo, pair], s.value[lo, pair]
+        swapped, aligned = _match(theta, s.theta[hi, pair])
+        far = s.value[hi, pair]
+        d_lo, d_hi = _delta(value), np.where(swapped, _delta(far[:, ::-1]), _delta(far))
+        # a pair that cannot be tracked is the birth or death of a well
+        # with unchanged totals: still a change of landscape character,
+        # filed as bifurcation
+        lost = both & ~aligned
+        # d_lo == 0 is exactly on the degeneracy locus at the lower
+        # endpoint. Report it here (the neighboring edge that entered the
+        # locus sees d_hi == 0 and stays silent), but only if the
+        # degeneracy is isolated: when the whole edge lies on the locus,
+        # as happens for an easy-plane ring whose two in-plane slices are
+        # one connected physical well, an event per edge would flood the
+        # output.
+        on_locus = both & aligned & (d_lo == 0.0) & (d_hi != 0.0)
+        crossed = both & aligned & (d_lo != 0.0) & (d_hi != 0.0) & ((d_lo > 0.0) != (d_hi > 0.0))
+        for j in np.flatnonzero(lost | on_locus | crossed).tolist():
+            counts = s.counts[lo[j]]
+            if lost[j]:
+                tracking = _tracked_gap(counts, theta[j], value[j], pair, lambda v: 1.0)
+                events.append((j, "bifurcation", _refine(tracking, 1.0, None, tol_bif, 0.0)))
+            elif on_locus[j]:
+                events.append((j, kind, _settled(0.0)))
+            else:
+                gap_of = _tracked_gap(counts, theta[j], value[j], pair, _delta)
+                steps = _refine(gap_of, float(d_lo[j]), float(d_hi[j]), tol_mx, tol_dv)
+                events.append((j, kind, steps))
     return events
 
 
 class _Event(NamedTuple):
-    """One event on the edge from v_lo to v_hi along axis, every other
-    parameter taken from line, with its refinement pending."""
+    """One event on the edge from v_lo to v_hi along the r-column axis,
+    every other parameter taken from the r-row line, with its refinement
+    pending."""
 
     kind: str
-    line: ReducedParams
-    axis: str
+    line: np.ndarray
+    axis: int
     v_lo: float
     v_hi: float
     steps: Refinement
@@ -342,38 +335,36 @@ class _Event(NamedTuple):
         return self.v_lo + t * (self.v_hi - self.v_lo)
 
 
-def _line_events(
-    fixed: ReducedParams, axis: str, values: np.ndarray, feats: list[_Feature],
+def _events(
+    r: np.ndarray, s: _Summary, lo: np.ndarray, hi: np.ndarray, axis: np.ndarray,
     scale: float, tol_bif: float, tol_mx: float,
 ) -> list[_Event]:
-    """Every event on the edges of one line of nodes, not yet refined.
-
-    The line runs along axis through values, with every other
-    parameter taken from fixed; feats[i] summarizes node i.
-    """
-    events: list[_Event] = []
-    for i in range(len(values) - 1):
-        v_lo, v_hi = float(values[i]), float(values[i + 1])
-        for kind, steps in _classify_edge(feats[i], feats[i + 1], scale, tol_bif, tol_mx):
-            events.append(_Event(kind, fixed, axis, v_lo, v_hi, steps))
+    """Every event on the edges from row lo[j] to row hi[j] of the r-array
+    r, not yet refined. Edge j runs along the r-column axis[j], and s
+    summarizes the rows of r."""
+    events = []
+    for j, kind, steps in _classify_edges(s, lo, hi, scale, tol_bif, tol_mx):
+        a = int(axis[j])
+        events.append(_Event(kind, r[lo[j]], a, float(r[lo[j], a]), float(r[hi[j], a]), steps))
     return events
 
 
-def _refine_all(events: list[_Event]) -> list[float]:
+def _refine_all(events: list[_Event], system: SpinSystem, offset: float) -> list[float]:
     """The axis value of every event, all refined in lockstep.
 
-    Each round evaluates the pending probe of every event still
-    refining with one ``landscapes`` call and sends each event its
-    summary, so the calls number the probes of the longest refinement,
-    not the probes of all of them.
+    Every event's line shares system and offset. Each round evaluates
+    the pending probe of every event still refining as one r-array with
+    one ``_summaries`` call and sends each event its summary, so the
+    calls number the probes of the longest refinement, not the probes
+    of all of them.
     """
     values = [0.0] * len(events)
     pending: list[tuple[int, float]] = []
 
-    def advance(k: int, feature: _Feature | None) -> None:
+    def advance(k: int, probe: Probe | None) -> None:
         event = events[k]
         try:
-            pending.append((k, event.steps.send(feature)))
+            pending.append((k, event.steps.send(probe)))
         except StopIteration as stop:
             values[k] = event.at(stop.value)
 
@@ -381,9 +372,13 @@ def _refine_all(events: list[_Event]) -> list[float]:
         advance(k, None)
     while pending:
         probes, pending = pending, []
-        rps = [_with_value(events[k].line, events[k].axis, events[k].at(t)) for k, t in probes]
-        for (k, _), feature in zip(probes, _features(rps)):
-            advance(k, feature)
+        rows = np.array([events[k].line for k, _ in probes])
+        rows[np.arange(len(probes)), [events[k].axis for k, _ in probes]] = [
+            events[k].at(t) for k, t in probes
+        ]
+        summary = _summaries(rows, system, offset)
+        for i, (k, _) in enumerate(probes):
+            advance(k, (summary, i))
     return values
 
 
@@ -439,40 +434,41 @@ def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     """Scan a parameter plane and refine every separatrix crossing.
 
     Each grid node's landscape is summarized once, all nodes in one
-    ``landscapes`` call; each edge between adjacent nodes is classified
-    by comparing the two summaries, and edges carrying an event are
+    kernel call; each edge between adjacent nodes is classified by
+    comparing the two summaries, and edges carrying an event are
     refined by one bracketed secant: stationary-count changes and lost
     wells bisect to 1e-6 of the axis range, Maxwell degeneracies take
     secant steps on the energy gap to 1e-8 of it (or to a gap within
     1e-10 of the energy scale). All events of the plane refine in
-    lockstep, one ``landscapes`` call per round of probes. Refined
-    points are chained into polylines. Cells with a degenerate (flat)
-    landscape are excluded.
+    lockstep, one kernel call per round of probes. Refined points are
+    chained into polylines. Cells with a degenerate (flat) landscape
+    are excluded.
     """
-    axis1 = _canonical_axis(plane.axis1)
-    axis2 = _canonical_axis(plane.axis2)
+    a1 = _R_NAMES.index(_canonical_axis(plane.axis1))
+    a2 = _R_NAMES.index(_canonical_axis(plane.axis2))
     vals1, vals2 = plane.axes()
     n1, n2 = plane.shape
-    scale = parameter_scale(plane.fixed)
+    fixed = plane.fixed
 
-    nodes = _features([
-        _with_value(_with_value(plane.fixed, axis1, v1), axis2, v2) for v1 in vals1 for v2 in vals2
-    ])
-    features = [nodes[i1 * n2:(i1 + 1) * n2] for i1 in range(n1)]
-
-    events: list[_Event] = []
-    tols = (BIFURCATION_REFINE, MAXWELL_REFINE)
-    for i2, v2 in enumerate(vals2):
-        line = _with_value(plane.fixed, axis2, v2)
-        events += _line_events(line, axis1, vals1, [row[i2] for row in features], scale, *tols)
-    for i1, v1 in enumerate(vals1):
-        line = _with_value(plane.fixed, axis1, v1)
-        events += _line_events(line, axis2, vals2, features[i1], scale, *tols)
+    # node (i1, i2) is row i1 * n2 + i2; the edges along axis 1 come
+    # first, then those along axis 2
+    r = np.tile(_r_row(fixed), (n1 * n2, 1))
+    r[:, a1] = np.repeat(vals1, n2)
+    r[:, a2] = np.tile(vals2, n1)
+    grid = np.arange(n1 * n2).reshape(n1, n2)
+    lo = np.concatenate([grid[:-1].T.ravel(), grid[:, :-1].ravel()])
+    hi = np.concatenate([grid[1:].T.ravel(), grid[:, 1:].ravel()])
+    axis = np.repeat([a1, a2], [(n1 - 1) * n2, n1 * (n2 - 1)])
+    s = _summaries(r, fixed.system, fixed.offset)
+    events = _events(
+        r, s, lo, hi, axis, parameter_scale(fixed), BIFURCATION_REFINE, MAXWELL_REFINE
+    )
 
     collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
-    for event, value in zip(events, _refine_all(events)):
-        at = _with_value(event.line, event.axis, value)
-        collected[event.kind].append((getattr(at, axis1), getattr(at, axis2)))
+    for event, value in zip(events, _refine_all(events, fixed.system, fixed.offset)):
+        at = event.line.copy()
+        at[event.axis] = value
+        collected[event.kind].append((float(at[a1]), float(at[a2])))
 
     cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
     cell2 = (plane.range2[1] - plane.range2[0]) / (n2 - 1)
@@ -490,7 +486,7 @@ def sweep_crossings(
     """Crossing values of the separatrix along a single parameter axis.
 
     The one-dimensional analogue of ``classify_cell_edges``: sample the
-    landscape along the axis (one ``landscapes`` call), classify
+    landscape along the axis (one kernel call), classify
     consecutive segments, and refine every event in lockstep with the
     same refiner (secant steps for Maxwell points, bisection for count
     changes and lost wells) down to refine_to (in the axis's own kelvin
@@ -500,7 +496,7 @@ def sweep_crossings(
         ValueError: if refine_to is not finite or is below 2**-52 of the
             sample step, where float64 can no longer split a bracket.
     """
-    axis_name = _canonical_axis(axis)
+    column = _R_NAMES.index(_canonical_axis(axis))
     lo, hi = float(sweep_range[0]), float(sweep_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid sweep range {sweep_range!r}")
@@ -515,9 +511,14 @@ def sweep_crossings(
         )
     tol_t = min(0.5, refine_to / step)
 
-    feats = _features([_with_value(fixed, axis_name, v) for v in values])
-    events = _line_events(fixed, axis_name, values, feats, scale, tol_t, tol_t)
+    r = np.tile(_r_row(fixed), (samples, 1))
+    r[:, column] = values
+    s = _summaries(r, fixed.system, fixed.offset)
+    nodes = np.arange(samples)
+    events = _events(
+        r, s, nodes[:-1], nodes[1:], np.full(samples - 1, column), scale, tol_t, tol_t
+    )
     found: dict[str, list[float]] = {kind: [] for kind in KINDS}
-    for event, value in zip(events, _refine_all(events)):
+    for event, value in zip(events, _refine_all(events, fixed.system, fixed.offset)):
         found[event.kind].append(value)
     return SweepResult(*(tuple(sorted(found[kind])) for kind in KINDS))

@@ -49,9 +49,15 @@ def _derivative(coef):
     return tuple(_ls._derivative(coef).tolist())
 
 
+def _coefficients(rp, branch):
+    """The six Fourier coefficients of V on one branch, as floats."""
+    coef = _ls._coefficients(_ls._r_row(rp)[None], rp.system)
+    return tuple(coef[0, _ls._branch_index(branch)].tolist())
+
+
 def _derivative_at(theta, rp, branch, order):
     """order-th theta-derivative of V from the coefficient representation."""
-    coef = _ls._coefficients(rp, branch)
+    coef = _coefficients(rp, branch)
     for _ in range(order):
         coef = _derivative(coef)
     return _series(coef, _trig(theta))
@@ -360,7 +366,7 @@ def _reference_critical_points(rp, branch):
     tol_flat = 1e-9 * scale
 
     thetas = _ls._SCAN_THETAS
-    coef = _ls._coefficients(rp, branch)
+    coef = _coefficients(rp, branch)
     c1 = _derivative(coef)
     c2 = _derivative(c1)
     d1 = _ls._SCAN_BASIS @ c1
@@ -570,3 +576,141 @@ def test_stationary_kinds_alternate_on_random_params():
         if not any(p.kind == "inflection" for p in report.points):
             assert report.n_minima == report.n_maxima, rp
     assert checked > 1400
+
+
+# ---------------------------------------------------------------------------
+# The separatrix summary. Planes and sweeps classify their edges from the
+# array summary of ``_summaries``; the oracle below computes the same summary
+# from a public LandscapeReport, point object by point object.
+
+
+def _reference_summary(report):
+    """(degenerate, counts, minima pair, maxima pair) of one report.
+
+    Each pair is the two lowest minima (highest maxima), taken from the
+    theta-ordered points by a stable sort on value, so equal values
+    resolve to the lower theta, and then put in theta order.
+    """
+    if report.degenerate:
+        return True, (0, 0), None, None
+
+    def theta_ordered(points):
+        if len(points) < 2:
+            return None
+        a, b = points[:2]
+        return (a, b) if a.theta <= b.theta else (b, a)
+
+    minima = sorted(report.minima(), key=lambda p: p.value)
+    maxima = sorted(report.maxima(), key=lambda p: -p.value)
+    return False, (report.n_minima, report.n_maxima), theta_ordered(minima), theta_ordered(maxima)
+
+
+def _assert_summaries_match_oracle(rps):
+    """``_summaries`` of rps, which share one system and offset, equals the
+    oracle on every node; returns the reports."""
+    r = np.array([[rp.r1, rp.r2, rp.r3, rp.r4, rp.r5] for rp in rps])
+    summary = _ls._summaries(r, rps[0].system, rps[0].offset)
+    reports = landscapes(rps)
+    for i, report in enumerate(reports):
+        degenerate, counts, *pairs = _reference_summary(report)
+        assert bool(summary.degenerate[i]) == degenerate
+        assert tuple(summary.counts[i].tolist()) == counts
+        for p, pair in enumerate(pairs):
+            assert bool(summary.absent[i, p]) == (pair is None)
+            if pair is not None:
+                assert summary.theta[i, p].tolist() == [pair[0].theta, pair[1].theta]
+                assert summary.value[i, p].tolist() == [pair[0].value, pair[1].value]
+    return reports
+
+
+def test_summaries_match_oracle_on_random_params():
+    rng = np.random.default_rng(4321)
+    for two_s in (4, 10, 20, 60):
+        offset = float(rng.normal())
+        rps = []
+        for _ in range(80):
+            on = rng.uniform(size=5) < 0.8  # switch terms off so special cases show up
+            rps.append(ReducedParams(
+                r1=rng.normal() * on[0], r2=rng.normal() * on[1], r3=rng.normal() * on[2],
+                r4=rng.normal() * 1e-2 * on[3], r5=rng.normal() * 1e-2 * on[4],
+                system=SpinSystem(two_s), offset=offset,
+            ))
+        _assert_summaries_match_oracle(rps)
+
+
+def test_summaries_match_oracle_on_the_readme_window():
+    # the README's separatrix window: 3-trigonal, bz +-1.2, bx 0.2..3.4, 60x40
+    c = lookup("3-trigonal")
+    rp = reduce_params(c.system, c.aniso, FieldVector())
+    rps = [
+        replace(rp, r2=float(bz), r1=float(bx))
+        for bz in np.linspace(-1.2, 1.2, 60) for bx in np.linspace(0.2, 3.4, 40)
+    ]
+    _assert_summaries_match_oracle(rps)
+
+
+def test_summaries_match_oracle_on_a_flat_potential():
+    flat = ReducedParams(r1=0.0, r2=0.0, r3=0.0, r4=0.0, r5=0.0, system=SpinSystem(10))
+    for rps in ([flat], [replace(flat, r3=-1.0), flat, replace(flat, r2=0.3, r3=0.5)]):
+        reports = _assert_summaries_match_oracle(rps)
+        assert any(report.degenerate for report in reports)
+
+
+def test_summaries_break_value_ties_by_theta():
+    # With r1 = r5 = 0 the two branches are mirror images, so the minima
+    # (maxima) at theta and 2*pi - theta have bit-equal values. Where such
+    # a tied pair is second and third lowest, the summary must pick the
+    # one at the lower theta, as a stable sort of the theta-ordered points
+    # does. Negated parameters turn the minima cases into maxima cases.
+    grid = np.linspace(-1.0, 1.0, 11).tolist()
+    rps = [
+        ReducedParams(
+            r1=0.0, r2=sign * r2, r3=sign * r3, r4=sign * 0.1 * r4, r5=0.0, system=SpinSystem(10),
+        )
+        for sign in (1.0, -1.0) for r2 in (0.0, 0.05, 0.2) for r3 in grid for r4 in grid
+    ]
+    reports = _assert_summaries_match_oracle(rps)
+    for kind, key in (("minima", lambda p: p.value), ("maxima", lambda p: -p.value)):
+        tied = 0
+        for report in reports:
+            points = sorted(getattr(report, kind)(), key=key)
+            if len(points) >= 3 and points[0].value != points[1].value == points[2].value:
+                tied += 1
+        assert tied >= 5, kind
+
+
+def _reference_distinct(row, theta):
+    """The per-row merge of close roots, root by root, as a keep mask."""
+    two_pi = 2.0 * math.pi
+    keep = []
+    for r in sorted(set(row)):
+        kept = []
+        for i in (i for i in range(len(row)) if row[i] == r):
+            if kept and theta[i] - theta[kept[-1]] < _ls.MERGE_TOL:
+                continue
+            kept.append(i)
+        if len(kept) > 1 and two_pi - theta[kept[-1]] + theta[kept[0]] < _ls.MERGE_TOL:
+            kept.pop()
+        keep += kept
+    return [i in keep for i in range(len(row))]
+
+
+def test_distinct_compares_with_the_last_root_kept():
+    tol = _ls.MERGE_TOL
+    # 0.6 tol apart each: the second merges into the first, the third is a
+    # whole tol from the first root kept and stays
+    row = np.array([0, 0, 0])
+    theta = np.array([0.1, 0.1 + 0.6 * tol, 0.1 + 1.2 * tol])
+    assert _ls._distinct(row, theta).tolist() == [True, False, True]
+    # clusters of close roots, some across 2*pi, on seeded random rows
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        n = int(rng.integers(0, 12))
+        row = np.sort(rng.integers(0, 4, n))
+        centre = rng.choice([0.0, 1.0, 2.0 * math.pi])
+        steps = rng.integers(-3, 4, n) * rng.uniform(0.3, 0.7) * tol
+        theta = np.abs(centre + steps) % (2.0 * math.pi)
+        order = np.lexsort((theta, row))
+        row, theta = row[order], theta[order]
+        expected = _reference_distinct(row.tolist(), theta.tolist())
+        assert _ls._distinct(row, theta).tolist() == expected

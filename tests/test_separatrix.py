@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from spinscape import (
-    CriticalPoint,
+    FieldVector,
     PlaneSpec,
     ReducedParams,
     SpinSystem,
     classify_cell_edges,
-    landscape,
-    landscapes,
+    lookup,
     parameter_scale,
+    reduce_params,
     sweep_crossings,
 )
 from spinscape.separatrix import BIFURCATION_REFINE, MAXWELL_REFINE
@@ -191,9 +191,12 @@ def test_points_empty_kind():
 # on count-change and tracking-failure edges it must be that bisection.
 
 _sep = importlib.import_module("spinscape.separatrix")
+_ls = importlib.import_module("spinscape.landscape")
 _TOL_DV = 1e-10
 _COUNTS = (2, 2)
 _THETAS = (0.5, 2.5)
+#: The pair index of the landscape summary for each pair name.
+_PAIR = {"min_pair": 0, "max_pair": 1}
 
 
 def _run(steps, feature_at):
@@ -206,21 +209,45 @@ def _run(steps, feature_at):
         return stop.value
 
 
+class _Feature:
+    """The summary of one probed node, read back as a refinement reads it."""
+
+    def __init__(self, probe):
+        s, i = probe
+        self.degenerate = bool(s.degenerate[i])
+        self.counts = tuple(s.counts[i].tolist())
+        for name, p in _PAIR.items():
+            pair = None if s.absent[i, p] else (s.theta[i, p], s.value[i, p])
+            setattr(self, name, pair)
+
+
+def _match(ref, pair):
+    """pair aligned onto ref by _sep._match, or None if tracking breaks."""
+    swapped, aligned = _sep._match(ref[0], pair[0])
+    if not aligned:
+        return None
+    return (pair[0][::-1], pair[1][::-1]) if swapped else pair
+
+
+def _delta(pair):
+    return float(_sep._delta(pair[1]))
+
+
 def _bisect_maxwell(feature_at, ref_pair, ref_counts, which, d_lo, tol_t, tol_dv):
     lo, hi = 0.0, 1.0
     ref = ref_pair
     positive = d_lo > 0.0
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = feature_at(mid)
+        fm = _Feature(feature_at(mid))
         pair = getattr(fm, which)
         matched = None
         if not fm.degenerate and fm.counts == ref_counts and pair is not None:
-            matched = _sep._match(ref, pair)
+            matched = _match(ref, pair)
         if matched is None:
             hi = mid
             continue
-        dvm = _sep._delta(matched)
+        dvm = _delta(matched)
         if abs(dvm) <= tol_dv:
             return mid
         if (dvm > 0.0) == positive:
@@ -235,7 +262,7 @@ def _refine_count_change(feature_at, ref_counts, tol_t):
     lo, hi = 0.0, 1.0
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = feature_at(mid)
+        fm = _Feature(feature_at(mid))
         if not fm.degenerate and fm.counts == ref_counts:
             lo = mid
         else:
@@ -248,11 +275,11 @@ def _refine_tracking_failure(feature_at, ref_counts, ref_pair, which, tol_t):
     ref = ref_pair
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        fm = feature_at(mid)
+        fm = _Feature(feature_at(mid))
         pair = getattr(fm, which)
         matched = None
         if not fm.degenerate and fm.counts == ref_counts and pair is not None:
-            matched = _sep._match(ref, pair)
+            matched = _match(ref, pair)
         if matched is not None:
             lo = mid
             ref = matched
@@ -262,7 +289,11 @@ def _refine_tracking_failure(feature_at, ref_counts, ref_pair, which, tol_t):
 
 
 def _random_edges(draws):
-    """Seeded random edges along r1 or r2: (params, pair kind, feature_at)."""
+    """Seeded random edges along r1 or r2: (params, pair kind, feature_at).
+
+    feature_at(t) is the summary of the node at edge fraction t, the
+    probe a refinement is sent there.
+    """
     rng = np.random.default_rng(20240611)
     for _ in range(draws):
         rp = ReducedParams(
@@ -274,17 +305,25 @@ def _random_edges(draws):
         which = str(rng.choice(["min_pair", "max_pair"]))
         a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
 
-        def feature_at(t, rp=rp, axis=axis, a=a, b=b):
-            return _sep._feature(landscape(_sep._with_value(rp, axis, a + t * (b - a))))
+        def feature_at(t, rp=rp, column=_ls._R_NAMES.index(axis), a=a, b=b):
+            row = _ls._r_row(rp)
+            row[column] = a + t * (b - a)
+            return _ls._summaries(row[None], rp.system, rp.offset), 0
 
         yield rp, which, feature_at
 
 
+def _classify_edge(fa, fb, scale, tol_bif, tol_mx):
+    """(kind, refinement) of every event on the edge between two probes."""
+    (sa, ia), (sb, ib) = fa, fb
+    s = _ls._Summary(*(np.stack([x[ia], y[ib]]) for x, y in zip(sa, sb)))
+    return [(kind, steps) for _, kind, steps in _sep._classify_edges(
+        s, np.array([0]), np.array([1]), scale, tol_bif, tol_mx
+    )]
+
+
 def _pair(gap, shift=0.0):
-    return (
-        CriticalPoint(_THETAS[0] + shift, gap, "minimum", 1.0),
-        CriticalPoint(_THETAS[1] + shift, 0.0, "minimum", 1.0),
-    )
+    return (np.array(_THETAS) + shift, np.array([gap, 0.0]))
 
 
 class _ScriptedEdge:
@@ -301,12 +340,17 @@ class _ScriptedEdge:
     def feature_at(self, t):
         self.probes.append(t)
         d = self.gap(t)
-        pair = _pair(0.0, shift=1.0) if d is None else _pair(d)
-        return _sep._Feature(False, _COUNTS, pair, None)
+        theta, value = _pair(0.0, shift=1.0) if d is None else _pair(d)
+        summary = _ls._Summary(
+            degenerate=np.array([False]), counts=np.array([_COUNTS]),
+            theta=np.array([[theta, [0.0, 0.0]]]), value=np.array([[value, [0.0, 0.0]]]),
+            absent=np.array([[False, True]]),
+        )
+        return summary, 0
 
     def refine(self):
         d_lo, d_hi = self.gap(0.0), self.gap(1.0)
-        gap_of = _sep._tracked_gap(_COUNTS, _pair(d_lo), "min_pair", _sep._delta)
+        gap_of = _sep._tracked_gap(np.array(_COUNTS), *_pair(d_lo), 0, _sep._delta)
         return _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, _TOL_DV), self.feature_at)
 
     def replay(self):
@@ -386,27 +430,27 @@ def test_maxwell_refiner_bisects_after_tracking_loss(offset):
 def test_maxwell_secant_agrees_with_bisection_on_random_edges():
     cases = 0
     for rp, which, feature_at in _random_edges(200):
-        fa, fb = feature_at(0.0), feature_at(1.0)
+        fa, fb = _Feature(feature_at(0.0)), _Feature(feature_at(1.0))
         pa, pb = getattr(fa, which), getattr(fb, which)
         if fa.degenerate or fb.degenerate or fa.counts != fb.counts or pa is None or pb is None:
             continue
-        matched = _sep._match(pa, pb)
+        matched = _match(pa, pb)
         if matched is None:
             continue
-        d_lo, d_hi = _sep._delta(pa), _sep._delta(matched)
+        d_lo, d_hi = _delta(pa), _delta(matched)
         if d_lo == 0.0 or d_hi == 0.0 or (d_lo > 0.0) == (d_hi > 0.0):
             continue
         cases += 1
         tol_dv = 1e-10 * parameter_scale(rp)
-        gap_of = _sep._tracked_gap(fa.counts, pa, which, _sep._delta)
+        gap_of = _sep._tracked_gap(np.array(fa.counts), *pa, _PAIR[which], _sep._delta)
         t_new = _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, tol_dv), feature_at)
         t_ref = _bisect_maxwell(feature_at, pa, fa.counts, which, d_lo, MAXWELL_REFINE, tol_dv)
         if abs(t_new - t_ref) <= MAXWELL_REFINE:
             continue
         # on a nearly flat gap both stop at a different |gap| <= tol_dv
         for t in (t_new, t_ref):
-            pair = _sep._match(pa, getattr(feature_at(t), which))
-            assert abs(_sep._delta(pair)) <= tol_dv
+            pair = _match(pa, getattr(_Feature(feature_at(t)), which))
+            assert abs(_delta(pair)) <= tol_dv
     assert cases >= 30
 
 
@@ -416,13 +460,14 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
     # fraction must equal the old bisection's bit for bit
     count_changes = tracking_failures = 0
     for rp, _, feature_at in _random_edges(400):
-        fa, fb = feature_at(0.0), feature_at(1.0)
+        a, b = feature_at(0.0), feature_at(1.0)
+        fa, fb = _Feature(a), _Feature(b)
         if fa.degenerate or fb.degenerate:
             continue
         events = [
             (kind, _run(steps, feature_at))
-            for kind, steps in _sep._classify_edge(
-                fa, fb, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
+            for kind, steps in _classify_edge(
+                a, b, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
             )
         ]
         if fa.counts != fb.counts:
@@ -435,7 +480,7 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
             _refine_tracking_failure(feature_at, fa.counts, getattr(fa, which), which, BIFURCATION_REFINE)
             for which in ("min_pair", "max_pair")
             if getattr(fa, which) is not None and getattr(fb, which) is not None
-            and _sep._match(getattr(fa, which), getattr(fb, which)) is None
+            and _match(getattr(fa, which), getattr(fb, which)) is None
         ]
         tracking_failures += len(expected)
         assert [t for kind, t in events if kind == "bifurcation"] == expected
@@ -445,13 +490,14 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
 
 def _refine_costs(monkeypatch, plane):
     """[d_hi, probes] of every _refine call on the plane, and the number
-    of parameter sets of every landscapes call."""
+    of r-array rows of every landscape summary call."""
     costs = []
     batches = []
+    summaries = _sep._summaries
 
-    def counting_landscapes(rps):
-        batches.append(len(rps))
-        return landscapes(rps)
+    def counting_summaries(r, system, offset):
+        batches.append(len(r))
+        return summaries(r, system, offset)
 
     refine = _sep._refine
 
@@ -467,7 +513,7 @@ def _refine_costs(monkeypatch, plane):
         except StopIteration as stop:
             return stop.value
 
-    monkeypatch.setattr(_sep, "landscapes", counting_landscapes)
+    monkeypatch.setattr(_sep, "_summaries", counting_summaries)
     monkeypatch.setattr(_sep, "_refine", counting_refine)
     classify_cell_edges(plane)
     return costs, batches
@@ -499,7 +545,7 @@ def test_bifurcation_refinement_landscape_calls_per_event(monkeypatch, r5, resol
 
 
 def test_plane_evaluates_nodes_in_one_call_and_probes_in_rounds(monkeypatch):
-    # the acceptance-8 plane: one landscapes call holds every node, then
+    # the acceptance-8 plane: one summary call holds every node, then
     # every refining event probes once per call, so there are as many
     # further calls as the longest refinement takes probes
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), (21, 17), _rp(r5=0.0))
@@ -508,3 +554,47 @@ def test_plane_evaluates_nodes_in_one_call_and_probes_in_rounds(monkeypatch):
     assert batches[0] == 21 * 17
     assert len(batches) == 1 + max(probes)
     assert sum(batches[1:]) == sum(probes)
+
+
+def _plane_map(resolution=(20, 16)):
+    """The benchmark's plane-map plane: 3-trigonal, bz +-0.3, bx +-1.0."""
+    c = lookup("3-trigonal")
+    fixed = reduce_params(c.system, c.aniso, FieldVector())
+    return PlaneSpec("bz", "bx", (-0.3, 0.3), (-1.0, 1.0), resolution, fixed)
+
+
+def test_plane_map_work_counts(monkeypatch):
+    # Nodes and probes travel as r-arrays: no ReducedParams per node or
+    # probe, one kernel call for the 320 nodes, then one per lockstep
+    # round, whose rows are the probes of that round
+    checks = []
+    post_init = ReducedParams.__post_init__
+
+    def counting_post_init(self):
+        checks.append(self)
+        post_init(self)
+
+    kernel_rows = []
+    stationary = _ls._stationary
+
+    def counting_stationary(coef, offset, scale, window):
+        kernel_rows.append(len(coef))
+        return stationary(coef, offset, scale, window)
+
+    monkeypatch.setattr(ReducedParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(_ls, "_stationary", counting_stationary)
+    per_call = []
+    for resolution in ((20, 16), (40, 32)):
+        plane = _plane_map(resolution)
+        checks.clear()
+        classify_cell_edges(plane)
+        per_call.append(len(checks))
+    assert per_call[0] == per_call[1] <= 1
+
+    kernel_rows.clear()
+    costs, _ = _refine_costs(monkeypatch, _plane_map())
+    probes = [n for _, n in costs]
+    assert kernel_rows[0] == 20 * 16
+    assert len(kernel_rows) == 1 + max(probes)
+    assert sum(kernel_rows[1:]) == sum(probes)
+    assert sum(probes) <= 104  # 36 events at the time of writing
