@@ -19,21 +19,23 @@ potential.
 Landscapes are evaluated in batches. A plane or a sweep writes its
 grid nodes as one (n, 5) array of r1..r5 and summarizes them all with
 one ``landscape._summaries`` call, and every edge is classified by
-array comparisons of the summaries at its two ends. Each event's
-refinement is a generator that yields the edge fraction it wants to
-probe and is sent the landscape summary there, so the events of a
-whole plane advance in lockstep rounds: each round writes the next
-probe of every event still refining as one array and summarizes it
-with one call. Each event sees exactly the probes it would see if it
-were refined alone.
+array comparisons of the summaries at its two ends. The events are
+refined as arrays too: one entry per event holds its bracket, the
+gaps at the bracket's ends and the angles of the pair it tracks, so
+the events of a whole plane advance in lockstep rounds. Each round
+writes the next probe of every event still refining as one array,
+summarizes it with one call, and matches every probe's pair at once.
+Each event sees exactly the probes it would see if it were refined
+alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
+import numpy.typing as npt
 
 from .landscape import (
     _R_NAMES,
@@ -144,18 +146,31 @@ class SweepResult:
     maxwell_maxima_values: tuple[float, ...]
 
 
-#: A probe's landscape summary: the summaries of one batch of nodes and
-#: the probe's row among them.
-Probe = tuple[_Summary, int]
+class _Events(NamedTuple):
+    """The edge events of a plane or a sweep, entry k for event k.
 
-#: The signed indicator of one edge event in the landscape summary of a
-#: probe, or None where the structure tracked from t = 0 is lost.
-GapOf = Callable[[Probe], float | None]
+    Event k lies on the edge from the r-row line[k] to the row that
+    differs from it in the r-column axis[k] only, where it is v_hi[k],
+    and refines the sign change of a gap from d_lo[k] at the lower node
+    (t = 0) to d_hi[k] at the upper one (t = 1). A Maxwell event's gap
+    is that of its tracked pair (0 minima, 1 maxima), matched from the
+    reference angles theta[k] it has at t = 0. A bifurcation has no
+    gap: it tracks the counts of t = 0 (pair -1) or a pair that is lost
+    by t = 1, with the constant gap d_lo = 1 and an unknown d_hi = nan.
+    An event with d_lo = 0 sits at t = 0 and needs no probe.
+    """
 
-#: An edge event being refined: it yields each edge fraction t in
-#: [0, 1] it probes, is sent the landscape summary at t, and returns the
-#: event's edge fraction.
-Refinement = Generator[float, Probe, float]
+    kind: npt.NDArray[np.intp]  # (m,) index into KINDS
+    line: npt.NDArray[np.float64]  # (m, 5)
+    axis: npt.NDArray[np.intp]  # (m,)
+    v_hi: npt.NDArray[np.float64]  # (m,)
+    pair: npt.NDArray[np.intp]  # (m,)
+    counts: npt.NDArray[np.intp]  # (m, 2) stationary counts at t = 0
+    theta: npt.NDArray[np.float64]  # (m, 2)
+    d_lo: npt.NDArray[np.float64]  # (m,)
+    d_hi: npt.NDArray[np.float64]  # (m,)
+    tol_t: npt.NDArray[np.float64]  # (m,) bracket width that ends a refinement
+    tol_dv: npt.NDArray[np.float64]  # (m,) |gap| that ends a refinement
 
 
 def _match(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,114 +193,29 @@ def _delta(value: np.ndarray) -> np.ndarray:
     return value[..., 0] - value[..., 1]
 
 
-def _refine(gap_of: GapOf, d_lo: float, d_hi: float | None, tol_t: float, tol_dv: float) -> Refinement:
-    """Locate the sign change of the gap, which is d_lo at t = 0 and d_hi at t = 1.
-
-    A generator: it yields each probe t and is sent the landscape
-    summary there, whose gap is gap_of(summary); it returns the event's
-    edge fraction. Illinois regula falsi: each probe is the secant zero
-    of the current bracket, or its midpoint when that zero is not
-    strictly inside, and an end kept twice in a row has its gap halved.
-    A probe whose gap is None becomes the far end with an unknown gap,
-    as t = 1 is when d_hi is None, so the probes bisect until a probe
-    beyond the zero supplies a gap again. Stops at a probe with
-    |gap| <= tol_dv or once the bracket is no wider than tol_t.
-    """
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = d_lo, d_hi
-    last_moved = ""
-    while hi - lo > tol_t:
-        t = 0.5 * (lo + hi)
-        if f_hi is not None:
-            secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            if lo < secant < hi:
-                t = secant
-        gap = gap_of((yield t))
-        if gap is None:
-            # the structure shifted under us; close in from the far side
-            hi, f_hi, last_moved = t, None, ""
-            continue
-        if abs(gap) <= tol_dv:
-            return t
-        if (gap > 0.0) == (f_lo > 0.0):
-            lo, f_lo = t, gap
-            if last_moved == "lo" and f_hi is not None:
-                f_hi *= 0.5
-            last_moved = "lo"
-        else:
-            hi, f_hi = t, gap
-            if last_moved == "hi":
-                f_lo *= 0.5
-            last_moved = "hi"
-    return 0.5 * (lo + hi)
-
-
-def _settled(t: float) -> Refinement:
-    """An event that needs no probe: it sits at edge fraction t."""
-    yield from ()
-    return t
-
-
-def _same_counts(counts: np.ndarray) -> GapOf:
-    """1.0 where a probe keeps the stationary counts of t = 0, else None."""
-
-    def gap_of(probe: Probe) -> float | None:
-        s, i = probe
-        return 1.0 if not s.degenerate[i] and (s.counts[i] == counts).all() else None
-
-    return gap_of
-
-
-def _tracked_gap(
-    counts: np.ndarray, theta: np.ndarray, value: np.ndarray, pair: int,
-    gap: Callable[[np.ndarray], float],
-) -> GapOf:
-    """gap(values) of pair ``pair`` (0 minima, 1 maxima), tracked from
-    the angles theta and values value it has at t = 0.
-
-    None where the counts change or the pair no longer matches the
-    reference angles. Those move only on probes whose gap keeps the
-    sign of t = 0's, so they stay on the near side of the event.
-    """
-    positive = gap(value) > 0.0
-
-    def gap_of(probe: Probe) -> float | None:
-        nonlocal theta
-        s, i = probe
-        if s.degenerate[i] or s.absent[i, pair] or not (s.counts[i] == counts).all():
-            return None
-        swapped, aligned = _match(theta, s.theta[i, pair])
-        if not aligned:
-            return None
-        step = -1 if swapped else 1
-        found = float(gap(s.value[i, pair, ::step]))
-        if (found > 0.0) == positive:
-            theta = s.theta[i, pair, ::step]
-        return found
-
-    return gap_of
-
-
 def _classify_edges(
-    s: _Summary, lo: np.ndarray, hi: np.ndarray, scale: float, tol_bif: float, tol_mx: float,
-) -> list[tuple[int, str, Refinement]]:
-    """Classify the edges from node lo[j] to node hi[j] of s at once.
+    r: np.ndarray, s: _Summary, lo: np.ndarray, hi: np.ndarray, axis: np.ndarray,
+    scale: float, tol_bif: float, tol_mx: float,
+) -> _Events:
+    """Every event on the edges from row lo[j] to row hi[j] of the r-array
+    r, not yet refined. Edge j runs along the r-column axis[j], and s
+    summarizes the rows of r.
 
-    Returns (j, kind, refinement) for every event. An edge between
-    nodes whose stationary counts differ carries a bifurcation. Between
-    equal counts, each pair of lowest minima or highest maxima that
-    both nodes have is matched across the edge: a pair that cannot be
-    tracked is a bifurcation too, and a sign change of its gap is a
-    Maxwell event.
+    An edge between nodes whose stationary counts differ carries a
+    bifurcation. Between equal counts, each pair of lowest minima or
+    highest maxima that both nodes have is matched across the edge: a
+    pair that cannot be tracked is a bifurcation too, and a sign change
+    of its gap is a Maxwell event. Events come edge by edge, count
+    changes first, then the minima and the maxima.
     """
     live = ~(s.degenerate[lo] | s.degenerate[hi])
     changed = live & (s.counts[lo] != s.counts[hi]).any(axis=1)
-    events = [
-        (j, "bifurcation", _refine(_same_counts(s.counts[lo[j]]), 1.0, None, tol_bif, 0.0))
-        for j in np.flatnonzero(changed).tolist()
+    j = np.flatnonzero(changed)
+    n = len(j)
+    blocks = [
+        (j, np.zeros(n, np.intp), np.full(n, -1), np.zeros((n, 2)), np.ones(n), np.full(n, np.nan))
     ]
-    tol_dv = 1e-10 * scale
-    for pair, kind in enumerate(KINDS[1:]):
+    for pair in (0, 1):
         both = live & ~changed & ~s.absent[lo, pair] & ~s.absent[hi, pair]
         theta, value = s.theta[lo, pair], s.value[lo, pair]
         swapped, aligned = _match(theta, s.theta[hi, pair])
@@ -304,97 +234,106 @@ def _classify_edges(
         # output.
         on_locus = both & aligned & (d_lo == 0.0) & (d_hi != 0.0)
         crossed = both & aligned & (d_lo != 0.0) & (d_hi != 0.0) & ((d_lo > 0.0) != (d_hi > 0.0))
-        for j in np.flatnonzero(lost | on_locus | crossed).tolist():
-            counts = s.counts[lo[j]]
-            if lost[j]:
-                tracking = _tracked_gap(counts, theta[j], value[j], pair, lambda v: 1.0)
-                events.append((j, "bifurcation", _refine(tracking, 1.0, None, tol_bif, 0.0)))
-            elif on_locus[j]:
-                events.append((j, kind, _settled(0.0)))
-            else:
-                gap_of = _tracked_gap(counts, theta[j], value[j], pair, _delta)
-                steps = _refine(gap_of, float(d_lo[j]), float(d_hi[j]), tol_mx, tol_dv)
-                events.append((j, kind, steps))
-    return events
+        j = np.flatnonzero(lost | on_locus | crossed)
+        gapless = lost[j]
+        blocks.append((
+            j, np.where(gapless, 0, pair + 1), np.full(len(j), pair), theta[j],
+            np.where(gapless, 1.0, d_lo[j]), np.where(gapless, np.nan, d_hi[j]),
+        ))
+    j, kind, pair, theta, d_lo, d_hi = (np.concatenate(x) for x in zip(*blocks))
+    bif = kind == 0
+    return _Events(
+        kind, r[lo[j]], axis[j], r[hi[j], axis[j]], pair, s.counts[lo[j]], theta, d_lo, d_hi,
+        np.where(bif, tol_bif, tol_mx), np.where(bif, 0.0, 1e-10 * scale),
+    )
 
 
-class _Event(NamedTuple):
-    """One event on the edge from v_lo to v_hi along the r-column axis,
-    every other parameter taken from the r-row line, with its refinement
-    pending."""
+def _gaps(s: _Summary, events: _Events, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The gap of event k[i] at probe i of the summary s, for every i.
 
-    kind: str
-    line: np.ndarray
-    axis: int
-    v_lo: float
-    v_hi: float
-    steps: Refinement
-
-    def at(self, t: float) -> float:
-        """The axis value at edge fraction t."""
-        return self.v_lo + t * (self.v_hi - self.v_lo)
-
-
-def _events(
-    r: np.ndarray, s: _Summary, lo: np.ndarray, hi: np.ndarray, axis: np.ndarray,
-    scale: float, tol_bif: float, tol_mx: float,
-) -> list[_Event]:
-    """Every event on the edges from row lo[j] to row hi[j] of the r-array
-    r, not yet refined. Edge j runs along the r-column axis[j], and s
-    summarizes the rows of r."""
-    events = []
-    for j, kind, steps in _classify_edges(s, lo, hi, scale, tol_bif, tol_mx):
-        a = int(axis[j])
-        events.append(_Event(kind, r[lo[j]], a, float(r[lo[j], a]), float(r[hi[j], a]), steps))
-    return events
+    nan where the probe loses what the event tracks from t = 0: it is
+    degenerate, its counts differ, or the tracked pair is absent or no
+    longer matches the reference angles theta[k[i]]. Those move to the
+    probe's pair only where its gap keeps the sign of t = 0's, so they
+    stay on the near side of the event.
+    """
+    i = np.arange(len(k))
+    pair = events.pair[k]
+    tracked = pair >= 0
+    # a count change (pair -1) reads the columns of pair 1, which only
+    # tracked events use
+    cand, value = s.theta[i, pair], s.value[i, pair]
+    swapped, aligned = _match(theta[k], cand)
+    kept = ~s.degenerate & (s.counts == events.counts[k]).all(axis=1)
+    kept &= ~tracked | (~s.absent[i, pair] & aligned)
+    flip = swapped[:, None]
+    gap = np.where(events.kind[k] == 0, 1.0, _delta(np.where(flip, value[:, ::-1], value)))
+    gap = np.where(kept, gap, np.nan)
+    move = tracked & kept & ((gap > 0.0) == (events.d_lo[k] > 0.0))
+    theta[k[move]] = np.where(flip, cand[:, ::-1], cand)[move]
+    return gap
 
 
-def _refine_all(events: list[_Event], system: SpinSystem, offset: float) -> list[float]:
+def _refine_all(events: _Events, system: SpinSystem, offset: float) -> np.ndarray:
     """The axis value of every event, all refined in lockstep.
 
+    Each event locates the sign change of its gap on its edge by Illinois
+    regula falsi: each probe is the secant zero of the current bracket,
+    or its midpoint when that zero is not strictly inside, and an end
+    kept twice in a row has its gap halved. A probe whose gap is nan
+    becomes the far end with an unknown gap, as t = 1 is for a
+    bifurcation, so the probes bisect until a probe beyond the zero
+    supplies a gap again. An event stops at a probe with |gap| <= tol_dv
+    or once its bracket is no wider than tol_t.
+
     Every event's line shares system and offset. Each round evaluates
-    the pending probe of every event still refining as one r-array with
-    one ``_summaries`` call and sends each event its summary, so the
-    calls number the probes of the longest refinement, not the probes
-    of all of them.
+    the probe of every event still refining as one r-array with one
+    ``_summaries`` call, so the calls number the probes of the longest
+    refinement, not the probes of all of them.
     """
-    values = [0.0] * len(events)
-    pending: list[tuple[int, float]] = []
+    m = len(events.kind)
+    v_lo = events.line[np.arange(m), events.axis]
+    span = events.v_hi - v_lo
+    lo, hi = np.zeros(m), np.ones(m)
+    f_lo, f_hi = events.d_lo.copy(), events.d_hi.copy()
+    # +1 where lo moved last, -1 where hi did, 0 after none or a lost probe
+    last = np.zeros(m, dtype=np.int8)
+    theta = events.theta.copy()
+    t = np.where(events.d_lo == 0.0, 0.0, np.nan)
+    k = np.flatnonzero(events.d_lo != 0.0)
+    while (k := k[hi[k] - lo[k] > events.tol_t[k]]).size:
+        a, b, fa, fb, moved = lo[k], hi[k], f_lo[k], f_hi[k], last[k]
+        secant = a + (b - a) * fa / (fa - fb)
+        probe = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
+        r = events.line[k]
+        r[np.arange(len(k)), events.axis[k]] = v_lo[k] + probe * span[k]
+        gap = _gaps(_summaries(r, system, offset), events, k, theta)
+        known = ~np.isnan(gap)
+        up = known & ((gap > 0.0) == (fa > 0.0))
+        down = known & ~up
+        lo[k], hi[k] = np.where(up, probe, a), np.where(up, b, probe)
+        f_lo[k] = np.where(up, gap, np.where(down & (moved == -1), fa * 0.5, fa))
+        f_hi[k] = np.where(up, np.where(moved == 1, fb * 0.5, fb), gap)
+        last[k] = up.astype(np.int8) - down
+        settled = np.abs(gap) <= events.tol_dv[k]
+        t[k[settled]] = probe[settled]
+        k = k[~settled]
+    t = np.where(np.isnan(t), 0.5 * (lo + hi), t)
+    return v_lo + t * span
 
-    def advance(k: int, probe: Probe | None) -> None:
-        event = events[k]
-        try:
-            pending.append((k, event.steps.send(probe)))
-        except StopIteration as stop:
-            values[k] = event.at(stop.value)
 
-    for k in range(len(events)):
-        advance(k, None)
-    while pending:
-        probes, pending = pending, []
-        rows = np.array([events[k].line for k, _ in probes])
-        rows[np.arange(len(probes)), [events[k].axis for k, _ in probes]] = [
-            events[k].at(t) for k, t in probes
-        ]
-        summary = _summaries(rows, system, offset)
-        for i, (k, _) in enumerate(probes):
-            advance(k, (summary, i))
-    return values
-
-
-def _link_polylines(points: list[tuple[float, float]], cell1: float, cell2: float) -> list[np.ndarray]:
-    """Chain refined points into polylines by nearest-neighbor growth.
+def _link_polylines(points: np.ndarray, cell1: float, cell2: float) -> list[np.ndarray]:
+    """Chain the (n, 2) refined points into polylines by nearest-neighbor growth.
 
     Points are sorted lexicographically first so the chaining (and the
     output) is deterministic; a chain extends while the nearest unused
     point lies within LINK_RADIUS cells, then grows from its head.
     """
-    if not points:
+    if not len(points):
         return []
-    pts = sorted(points)
-    coords = np.asarray(pts)
+    coords = points[np.lexsort((points[:, 1], points[:, 0]))]
     units = coords / np.array([cell1, cell2])
-    n = len(pts)
+    n = len(coords)
     used = np.zeros(n, dtype=bool)
     limit2 = LINK_RADIUS**2
 
@@ -460,19 +399,18 @@ def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     hi = np.concatenate([grid[1:].T.ravel(), grid[:, 1:].ravel()])
     axis = np.repeat([a1, a2], [(n1 - 1) * n2, n1 * (n2 - 1)])
     s = _summaries(r, fixed.system, fixed.offset)
-    events = _events(
+    events = _classify_edges(
         r, s, lo, hi, axis, parameter_scale(fixed), BIFURCATION_REFINE, MAXWELL_REFINE
     )
-
-    collected: dict[str, list[tuple[float, float]]] = {kind: [] for kind in KINDS}
-    for event, value in zip(events, _refine_all(events, fixed.system, fixed.offset)):
-        at = event.line.copy()
-        at[event.axis] = value
-        collected[event.kind].append((float(at[a1]), float(at[a2])))
+    at = events.line.copy()
+    at[np.arange(len(at)), events.axis] = _refine_all(events, fixed.system, fixed.offset)
 
     cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
     cell2 = (plane.range2[1] - plane.range2[0]) / (n2 - 1)
-    return SeparatrixSet(**{kind: _link_polylines(collected[kind], cell1, cell2) for kind in KINDS})
+    return SeparatrixSet(**{
+        kind: _link_polylines(at[events.kind == c][:, [a1, a2]], cell1, cell2)
+        for c, kind in enumerate(KINDS)
+    })
 
 
 def sweep_crossings(
@@ -515,10 +453,8 @@ def sweep_crossings(
     r[:, column] = values
     s = _summaries(r, fixed.system, fixed.offset)
     nodes = np.arange(samples)
-    events = _events(
+    events = _classify_edges(
         r, s, nodes[:-1], nodes[1:], np.full(samples - 1, column), scale, tol_t, tol_t
     )
-    found: dict[str, list[float]] = {kind: [] for kind in KINDS}
-    for event, value in zip(events, _refine_all(events, fixed.system, fixed.offset)):
-        found[event.kind].append(value)
-    return SweepResult(*(tuple(sorted(found[kind])) for kind in KINDS))
+    found = _refine_all(events, fixed.system, fixed.offset)
+    return SweepResult(*(tuple(sorted(found[events.kind == c].tolist())) for c in range(len(KINDS))))

@@ -185,10 +185,13 @@ def test_points_empty_kind():
 
 
 # ---------------------------------------------------------------------------
-# Edge refinement. One refiner, _refine, locates every kind of event. The
-# bisections it replaced are kept here as the references it is compared
-# against: on Maxwell edges it must agree with the bisection on the gap,
-# on count-change and tracking-failure edges it must be that bisection.
+# Edge refinement. One refiner, _refine_all, locates every event of a plane
+# or a sweep, all as arrays. Two generations of reference are kept here.
+# The scalar refiner it replaced, _refine, refines one event alone: every
+# array-refined value must equal its value bit for bit. The bisections
+# that _refine replaced: on Maxwell edges the refiner must agree with the
+# bisection on the gap, on count-change and tracking-failure edges it
+# must be that bisection.
 
 _sep = importlib.import_module("spinscape.separatrix")
 _ls = importlib.import_module("spinscape.landscape")
@@ -197,6 +200,88 @@ _COUNTS = (2, 2)
 _THETAS = (0.5, 2.5)
 #: The pair index of the landscape summary for each pair name.
 _PAIR = {"min_pair": 0, "max_pair": 1}
+#: An edge from 0 to 1 along r1, on which an axis value is its edge
+#: fraction t.
+_T_EDGE = np.array([[0.0] * 5, [1.0] + [0.0] * 4])
+
+
+def _refine(gap_of, d_lo, d_hi, tol_t, tol_dv):
+    """Locate the sign change of the gap, which is d_lo at t = 0 and d_hi at t = 1.
+
+    A generator: it yields each probe t and is sent the landscape
+    summary there, whose gap is gap_of(summary); it returns the event's
+    edge fraction. Illinois regula falsi: each probe is the secant zero
+    of the current bracket, or its midpoint when that zero is not
+    strictly inside, and an end kept twice in a row has its gap halved.
+    A probe whose gap is None becomes the far end with an unknown gap,
+    as t = 1 is when d_hi is None, so the probes bisect until a probe
+    beyond the zero supplies a gap again. Stops at a probe with
+    |gap| <= tol_dv or once the bracket is no wider than tol_t.
+    """
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = d_lo, d_hi
+    last_moved = ""
+    while hi - lo > tol_t:
+        t = 0.5 * (lo + hi)
+        if f_hi is not None:
+            secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            if lo < secant < hi:
+                t = secant
+        gap = gap_of((yield t))
+        if gap is None:
+            # the structure shifted under us; close in from the far side
+            hi, f_hi, last_moved = t, None, ""
+            continue
+        if abs(gap) <= tol_dv:
+            return t
+        if (gap > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, gap
+            if last_moved == "lo" and f_hi is not None:
+                f_hi *= 0.5
+            last_moved = "lo"
+        else:
+            hi, f_hi = t, gap
+            if last_moved == "hi":
+                f_lo *= 0.5
+            last_moved = "hi"
+    return 0.5 * (lo + hi)
+
+
+def _same_counts(counts):
+    """1.0 where a probe keeps the stationary counts of t = 0, else None."""
+
+    def gap_of(probe):
+        s, i = probe
+        return 1.0 if not s.degenerate[i] and (s.counts[i] == counts).all() else None
+
+    return gap_of
+
+
+def _tracked_gap(counts, theta, value, pair, gap):
+    """gap(values) of pair ``pair`` (0 minima, 1 maxima), tracked from
+    the angles theta and values value it has at t = 0.
+
+    None where the counts change or the pair no longer matches the
+    reference angles. Those move only on probes whose gap keeps the
+    sign of t = 0's, so they stay on the near side of the event.
+    """
+    positive = gap(value) > 0.0
+
+    def gap_of(probe):
+        nonlocal theta
+        s, i = probe
+        if s.degenerate[i] or s.absent[i, pair] or not (s.counts[i] == counts).all():
+            return None
+        swapped, aligned = _sep._match(theta, s.theta[i, pair])
+        if not aligned:
+            return None
+        step = -1 if swapped else 1
+        found = float(gap(s.value[i, pair, ::step]))
+        if (found > 0.0) == positive:
+            theta = s.theta[i, pair, ::step]
+        return found
+
+    return gap_of
 
 
 def _run(steps, feature_at):
@@ -207,6 +292,70 @@ def _run(steps, feature_at):
             t = steps.send(feature_at(t))
     except StopIteration as stop:
         return stop.value
+
+
+def _refined_alone(events, k, rp, tol_bif, tol_mx):
+    """The axis value of event k of events, refined alone by _refine.
+
+    Both ends of its edge are summarized anew, one node per call, and
+    must give the counts, angles and gaps the event was filed with.
+    """
+    line, a = events.line[k], int(events.axis[k])
+    v_lo, v_hi = float(line[a]), float(events.v_hi[k])
+
+    def node(v):
+        row = line.copy()
+        row[a] = v
+        return _ls._summaries(row[None], rp.system, rp.offset), 0
+
+    def feature_at(t):
+        return node(v_lo + t * (v_hi - v_lo))
+
+    (s, _), (far, _) = node(v_lo), node(v_hi)
+    counts, pair, kind = s.counts[0], int(events.pair[k]), int(events.kind[k])
+    assert (events.counts[k] == counts).all()
+    # an event on the degeneracy locus at t = 0 takes no probe
+    t = 0.0
+    if pair < 0:
+        t = _run(_refine(_same_counts(counts), 1.0, None, tol_bif, 0.0), feature_at)
+    else:
+        theta, value = s.theta[0, pair], s.value[0, pair]
+        assert (events.theta[k] == theta).all()
+        if kind == 0:
+            gap_of = _tracked_gap(counts, theta, value, pair, lambda v: 1.0)
+            t = _run(_refine(gap_of, 1.0, None, tol_bif, 0.0), feature_at)
+        else:
+            swapped, _ = _sep._match(theta, far.theta[0, pair])
+            d_lo = float(_sep._delta(value))
+            d_hi = float(_sep._delta(far.value[0, pair, ::-1] if swapped else far.value[0, pair]))
+            assert (events.d_lo[k], events.d_hi[k]) == (d_lo, d_hi)
+            if d_lo != 0.0:
+                gap_of = _tracked_gap(counts, theta, value, pair, _sep._delta)
+                tol_dv = 1e-10 * parameter_scale(rp)
+                t = _run(_refine(gap_of, d_lo, d_hi, tol_mx, tol_dv), feature_at)
+    return v_lo + t * (v_hi - v_lo)
+
+
+def _assert_refined_as_alone(events, values, rp, tol_bif, tol_mx):
+    assert len(values) == len(events.kind)
+    for k, value in enumerate(values.tolist()):
+        assert value == _refined_alone(events, k, rp, tol_bif, tol_mx)
+
+
+def _recorded_refinement(monkeypatch, run):
+    """The events and values of the one _refine_all call that run() makes."""
+    calls = []
+    refine_all = _sep._refine_all
+
+    def recording(events, system, offset):
+        values = refine_all(events, system, offset)
+        calls.append((events, values))
+        return values
+
+    monkeypatch.setattr(_sep, "_refine_all", recording)
+    run()
+    ((events, values),) = calls
+    return events, values
 
 
 class _Feature:
@@ -289,10 +438,11 @@ def _refine_tracking_failure(feature_at, ref_counts, ref_pair, which, tol_t):
 
 
 def _random_edges(draws):
-    """Seeded random edges along r1 or r2: (params, pair kind, feature_at).
+    """Seeded random edges along r1 or r2: (params, pair kind, r, column, feature_at).
 
-    feature_at(t) is the summary of the node at edge fraction t, the
-    probe a refinement is sent there.
+    The two rows of the r-array r are the edge's ends, which differ in
+    the r-column column only. feature_at(t) is the summary of the node
+    at edge fraction t, the probe a refinement is sent there.
     """
     rng = np.random.default_rng(20240611)
     for _ in range(draws):
@@ -301,25 +451,55 @@ def _random_edges(draws):
             r4=float(rng.normal() * 1e-3), r5=float(rng.normal() * 0.05),
             system=SpinSystem(int(rng.choice([4, 10, 20]))),
         )
-        axis = str(rng.choice(["r1", "r2"]))
+        column = _ls._R_NAMES.index(str(rng.choice(["r1", "r2"])))
         which = str(rng.choice(["min_pair", "max_pair"]))
         a, b = sorted(float(v) for v in rng.uniform(-1.0, 1.0, 2))
+        r = np.tile(_ls._r_row(rp), (2, 1))
+        r[:, column] = a, b
 
-        def feature_at(t, rp=rp, column=_ls._R_NAMES.index(axis), a=a, b=b):
+        def feature_at(t, rp=rp, column=column, a=a, b=b):
             row = _ls._r_row(rp)
             row[column] = a + t * (b - a)
             return _ls._summaries(row[None], rp.system, rp.offset), 0
 
-        yield rp, which, feature_at
+        yield rp, which, r, column, feature_at
 
 
-def _classify_edge(fa, fb, scale, tol_bif, tol_mx):
-    """(kind, refinement) of every event on the edge between two probes."""
-    (sa, ia), (sb, ib) = fa, fb
-    s = _ls._Summary(*(np.stack([x[ia], y[ib]]) for x, y in zip(sa, sb)))
-    return [(kind, steps) for _, kind, steps in _sep._classify_edges(
-        s, np.array([0]), np.array([1]), scale, tol_bif, tol_mx
-    )]
+def _stack(summaries):
+    """One summary of the nodes of several summaries, in order."""
+    return _ls._Summary(*(np.concatenate(x) for x in zip(*summaries)))
+
+
+def _refine_in_t(monkeypatch, events, feature_at):
+    """The edge fraction _refine_all gives each event on _T_EDGE, whose
+    probe at t is summarized by feature_at(t)."""
+
+    def summaries(r, system, offset):
+        return _stack([feature_at(t)[0] for t in r[:, 0].tolist()])
+
+    monkeypatch.setattr(_sep, "_summaries", summaries)
+    return _sep._refine_all(events, S5, 0.0).tolist()
+
+
+def _refine_edge(monkeypatch, fa, fb, feature_at, scale, tol_bif, tol_mx):
+    """(kind, t) of every event on the edge between the probes fa and fb."""
+    events = _sep._classify_edges(
+        _T_EDGE, _stack([fa[0], fb[0]]), np.array([0]), np.array([1]), np.array([0]),
+        scale, tol_bif, tol_mx,
+    )
+    kinds = [_sep.KINDS[c] for c in events.kind.tolist()]
+    return list(zip(kinds, _refine_in_t(monkeypatch, events, feature_at)))
+
+
+def _maxwell_event(pair, counts, theta, d_lo, d_hi, tol_dv):
+    """One Maxwell event on _T_EDGE of pair ``pair`` (0 minima, 1 maxima),
+    from the angles theta and gap d_lo at t = 0 to the gap d_hi at t = 1."""
+    return _sep._Events(
+        kind=np.array([pair + 1]), line=_T_EDGE[:1], axis=np.array([0]), v_hi=np.ones(1),
+        pair=np.array([pair]), counts=np.array([counts]), theta=np.array([theta]),
+        d_lo=np.array([d_lo]), d_hi=np.array([d_hi]),
+        tol_t=np.array([MAXWELL_REFINE]), tol_dv=np.array([tol_dv]),
+    )
 
 
 def _pair(gap, shift=0.0):
@@ -348,10 +528,11 @@ class _ScriptedEdge:
         )
         return summary, 0
 
-    def refine(self):
+    def refine(self, monkeypatch):
         d_lo, d_hi = self.gap(0.0), self.gap(1.0)
-        gap_of = _sep._tracked_gap(np.array(_COUNTS), *_pair(d_lo), 0, _sep._delta)
-        return _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, _TOL_DV), self.feature_at)
+        event = _maxwell_event(0, _COUNTS, _pair(d_lo)[0], d_lo, d_hi, _TOL_DV)
+        (t,) = _refine_in_t(monkeypatch, event, self.feature_at)
+        return t
 
     def replay(self):
         """Check each probe against the bracket the probes before it left.
@@ -376,9 +557,9 @@ class _ScriptedEdge:
 
 
 @pytest.mark.parametrize("slope, root", [(3.0, 0.37), (-0.02, 0.5), (250.0, 0.001), (7.0, 0.9999)])
-def test_maxwell_secant_on_linear_gap_takes_few_probes(slope, root):
+def test_maxwell_secant_on_linear_gap_takes_few_probes(monkeypatch, slope, root):
     edge = _ScriptedEdge(lambda t: slope * (t - root))
-    t = edge.refine()
+    t = edge.refine(monkeypatch)
     edge.replay()
     assert len(edge.probes) <= 3
     assert abs(edge.gap(t)) <= _TOL_DV
@@ -396,9 +577,9 @@ def test_maxwell_secant_on_linear_gap_takes_few_probes(slope, root):
         (lambda t: (t - 1.0) + 1e-20, 1.0),
     ],
 )
-def test_maxwell_secant_on_hard_gap_meets_stopping_rule(gap, root):
+def test_maxwell_secant_on_hard_gap_meets_stopping_rule(monkeypatch, gap, root):
     edge = _ScriptedEdge(gap)
-    t = edge.refine()
+    t = edge.refine(monkeypatch)
     edge.replay()
     assert abs(gap(t)) <= _TOL_DV or abs(t - root) <= MAXWELL_REFINE
     # no more than the 27 the bisection needs to reach MAXWELL_REFINE
@@ -406,7 +587,7 @@ def test_maxwell_secant_on_hard_gap_meets_stopping_rule(gap, root):
 
 
 @pytest.mark.parametrize("offset", [0.0, -5.0])
-def test_maxwell_refiner_bisects_after_tracking_loss(offset):
+def test_maxwell_refiner_bisects_after_tracking_loss(monkeypatch, offset):
     # Tracking holds up to t = 0.6 and on the far node only; the far
     # node's gap (+1) lies off the line through the tracked part, so a
     # secant through it after the loss would probe off the midpoint.
@@ -418,7 +599,7 @@ def test_maxwell_refiner_bisects_after_tracking_loss(offset):
         return 1.0 if t == 1.0 else 20.0 * (t - 0.55) + offset
 
     edge = _ScriptedEdge(gap)
-    t = edge.refine()
+    t = edge.refine(monkeypatch)
     edge.replay()
     assert any(gap(p) is None for p in edge.probes)
     if offset == 0.0:
@@ -427,9 +608,9 @@ def test_maxwell_refiner_bisects_after_tracking_loss(offset):
         assert abs(t - 0.6) <= MAXWELL_REFINE
 
 
-def test_maxwell_secant_agrees_with_bisection_on_random_edges():
+def test_maxwell_secant_agrees_with_bisection_on_random_edges(monkeypatch):
     cases = 0
-    for rp, which, feature_at in _random_edges(200):
+    for rp, which, _, _, feature_at in _random_edges(200):
         fa, fb = _Feature(feature_at(0.0)), _Feature(feature_at(1.0))
         pa, pb = getattr(fa, which), getattr(fb, which)
         if fa.degenerate or fb.degenerate or fa.counts != fb.counts or pa is None or pb is None:
@@ -442,8 +623,8 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
             continue
         cases += 1
         tol_dv = 1e-10 * parameter_scale(rp)
-        gap_of = _sep._tracked_gap(np.array(fa.counts), *pa, _PAIR[which], _sep._delta)
-        t_new = _run(_sep._refine(gap_of, d_lo, d_hi, MAXWELL_REFINE, tol_dv), feature_at)
+        event = _maxwell_event(_PAIR[which], fa.counts, pa[0], d_lo, d_hi, tol_dv)
+        (t_new,) = _refine_in_t(monkeypatch, event, feature_at)
         t_ref = _bisect_maxwell(feature_at, pa, fa.counts, which, d_lo, MAXWELL_REFINE, tol_dv)
         if abs(t_new - t_ref) <= MAXWELL_REFINE:
             continue
@@ -454,22 +635,19 @@ def test_maxwell_secant_agrees_with_bisection_on_random_edges():
     assert cases >= 30
 
 
-def test_bisected_events_equal_the_old_bisections_on_random_edges():
+def test_bisected_events_equal_the_old_bisections_on_random_edges(monkeypatch):
     # an event without a gap (count change, or a well lost with the
-    # counts unchanged) makes _refine a plain bisection, so the refined
-    # fraction must equal the old bisection's bit for bit
+    # counts unchanged) makes the refiner a plain bisection, so the
+    # refined fraction must equal the old bisection's bit for bit
     count_changes = tracking_failures = 0
-    for rp, _, feature_at in _random_edges(400):
+    for rp, _, _, _, feature_at in _random_edges(400):
         a, b = feature_at(0.0), feature_at(1.0)
         fa, fb = _Feature(a), _Feature(b)
         if fa.degenerate or fb.degenerate:
             continue
-        events = [
-            (kind, _run(steps, feature_at))
-            for kind, steps in _classify_edge(
-                a, b, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
-            )
-        ]
+        events = _refine_edge(
+            monkeypatch, a, b, feature_at, parameter_scale(rp), BIFURCATION_REFINE, MAXWELL_REFINE
+        )
         if fa.counts != fb.counts:
             count_changes += 1
             assert events == [
@@ -488,10 +666,69 @@ def test_bisected_events_equal_the_old_bisections_on_random_edges():
     assert tracking_failures >= 30
 
 
+def test_array_refinement_equals_the_scalar_reference_on_random_edges():
+    events_of_kind = np.zeros(len(_sep.KINDS), dtype=int)
+    for rp, _, r, column, _ in _random_edges(200):
+        s = _ls._summaries(r, rp.system, rp.offset)
+        events = _sep._classify_edges(
+            r, s, np.array([0]), np.array([1]), np.array([column]), parameter_scale(rp),
+            BIFURCATION_REFINE, MAXWELL_REFINE,
+        )
+        values = _sep._refine_all(events, rp.system, rp.offset)
+        _assert_refined_as_alone(events, values, rp, BIFURCATION_REFINE, MAXWELL_REFINE)
+        np.add.at(events_of_kind, events.kind, 1)
+    assert (events_of_kind >= 40).all()
+
+
+def _trigonal_plane(range1, range2, resolution):
+    """A (bz, bx) plane of 3-trigonal at zero field elsewhere."""
+    c = lookup("3-trigonal")
+    fixed = reduce_params(c.system, c.aniso, FieldVector())
+    return PlaneSpec("bz", "bx", range1, range2, resolution, fixed)
+
+
+def _plane_map(resolution=(20, 16)):
+    """The benchmark's plane-map plane: 3-trigonal, bz +-0.3, bx +-1.0."""
+    return _trigonal_plane((-0.3, 0.3), (-1.0, 1.0), resolution)
+
+
+_COST_PLANES = [(0.0, (21, 17)), (0.01, (24, 16))]
+
+
+#: The planes whose events the scalar reference refines one at a time.
+_ORACLE_PLANES = {
+    **{
+        f"acceptance-8-r5={r5}": PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), n, _rp(r5=r5))
+        for r5, n in _COST_PLANES
+    },
+    "plane-map": _plane_map(),
+    "readme-window": _trigonal_plane((-1.2, 1.2), (0.2, 3.4), (60, 40)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_PLANES))
+def test_array_refinement_equals_the_scalar_reference_on_planes(monkeypatch, name):
+    plane = _ORACLE_PLANES[name]
+    events, values = _recorded_refinement(monkeypatch, lambda: classify_cell_edges(plane))
+    assert len(values) > 0
+    _assert_refined_as_alone(events, values, plane.fixed, BIFURCATION_REFINE, MAXWELL_REFINE)
+
+
+def test_array_refinement_equals_the_scalar_reference_on_a_sweep_with_an_on_locus_event(monkeypatch):
+    # the easy-plane sweep: its polar maxima swap exactly at the node bz = 0
+    rp = ReducedParams(r1=0.0, r2=0.0, r3=0.5, r4=0.0, r5=0.0, system=S5)
+    events, values = _recorded_refinement(
+        monkeypatch, lambda: sweep_crossings(rp, "bz", (-1.0, 1.0), samples=101)
+    )
+    assert (events.d_lo == 0.0).any()
+    nodes = np.linspace(-1.0, 1.0, 101)
+    tol_t = min(0.5, 1e-4 / (nodes[1] - nodes[0]))
+    _assert_refined_as_alone(events, values, rp, tol_t, tol_t)
+
+
 def _refine_costs(monkeypatch, plane):
-    """[d_hi, probes] of every _refine call on the plane, and the number
-    of r-array rows of every landscape summary call."""
-    costs = []
+    """(kind code, probes) of every event on the plane that takes probes,
+    and the number of r-array rows of every landscape summary call."""
     batches = []
     summaries = _sep._summaries
 
@@ -499,27 +736,21 @@ def _refine_costs(monkeypatch, plane):
         batches.append(len(r))
         return summaries(r, system, offset)
 
-    refine = _sep._refine
+    seen = {}
+    gaps = _sep._gaps
 
-    def counting_refine(gap_of, d_lo, d_hi, tol_t, tol_dv):
-        cost = [d_hi, 0]
-        costs.append(cost)
-        steps = refine(gap_of, d_lo, d_hi, tol_t, tol_dv)
-        try:
-            t = next(steps)
-            while True:
-                cost[1] += 1
-                t = steps.send((yield t))
-        except StopIteration as stop:
-            return stop.value
+    def counting_gaps(s, events, k, theta):
+        seen["events"] = events
+        seen.setdefault("probes", np.zeros(len(events.kind), dtype=int))[k] += 1
+        return gaps(s, events, k, theta)
 
     monkeypatch.setattr(_sep, "_summaries", counting_summaries)
-    monkeypatch.setattr(_sep, "_refine", counting_refine)
+    monkeypatch.setattr(_sep, "_gaps", counting_gaps)
     classify_cell_edges(plane)
-    return costs, batches
-
-
-_COST_PLANES = [(0.0, (21, 17)), (0.01, (24, 16))]
+    # an event on the degeneracy locus at a node is not refined
+    refined = seen["events"].d_lo != 0.0
+    costs = zip(seen["events"].kind[refined].tolist(), seen["probes"][refined].tolist())
+    return list(costs), batches
 
 
 @pytest.mark.parametrize("r5, resolution", _COST_PLANES)
@@ -528,7 +759,7 @@ def test_maxwell_refinement_landscape_calls_per_event(monkeypatch, r5, resolutio
     # calls per Maxwell event there and ~26 on the r5 = 0.01 plane
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
     costs, _ = _refine_costs(monkeypatch, plane)
-    maxwell = [probes for d_hi, probes in costs if d_hi is not None]
+    maxwell = [probes for kind, probes in costs if kind != 0]
     assert len(maxwell) > 0
     assert sum(maxwell) <= 6 * len(maxwell)
 
@@ -539,7 +770,7 @@ def test_bifurcation_refinement_landscape_calls_per_event(monkeypatch, r5, resol
     # halves the bracket 20 times, one probe each
     plane = PlaneSpec("bz", "bx", (-0.8, 0.8), (1.6, 2.4), resolution, _rp(r5=r5))
     costs, _ = _refine_costs(monkeypatch, plane)
-    bifurcation = [probes for d_hi, probes in costs if d_hi is None]
+    bifurcation = [probes for kind, probes in costs if kind == 0]
     assert len(bifurcation) > 0
     assert bifurcation == [20] * len(bifurcation)
 
@@ -554,13 +785,6 @@ def test_plane_evaluates_nodes_in_one_call_and_probes_in_rounds(monkeypatch):
     assert batches[0] == 21 * 17
     assert len(batches) == 1 + max(probes)
     assert sum(batches[1:]) == sum(probes)
-
-
-def _plane_map(resolution=(20, 16)):
-    """The benchmark's plane-map plane: 3-trigonal, bz +-0.3, bx +-1.0."""
-    c = lookup("3-trigonal")
-    fixed = reduce_params(c.system, c.aniso, FieldVector())
-    return PlaneSpec("bz", "bx", (-0.3, 0.3), (-1.0, 1.0), resolution, fixed)
 
 
 def test_plane_map_work_counts(monkeypatch):
