@@ -28,9 +28,13 @@ Critical-point machinery for the reduced potential lives here too:
 ``critical_points`` locates and classifies all stationary angles of one
 branch, and ``landscape`` merges both branches into a report for the
 full great circle through the easy axis. ``landscapes`` makes those
-reports for many parameter sets at once: one kernel scans, polishes and
-classifies the stationary points of every node and branch as whole
-arrays, and every report equals the one a node gets alone.
+reports for many parameter sets at once: one kernel isolates, polishes
+and classifies the stationary points of every node and branch as whole
+arrays, and every report equals the one a node gets alone. V' is a
+trigonometric polynomial with known coefficients, so a bound on its
+third derivative certifies each interval of a coarse grid as root-free
+or as holding exactly one root; intervals neither test settles are
+halved down to a floor width, and those still open there are counted.
 
 The separatrix layer builds no reports. Its nodes and probes travel as
 one (n, 5) array of r1..r5 beside the SpinSystem and offset they share,
@@ -57,8 +61,13 @@ from .spin import (
     build_hamiltonian,
 )
 
-#: Dense-scan resolution used to bracket stationary points.
+#: The stationary-point search certifies intervals down to the floor
+#: width 2*pi / SCAN_SAMPLES; an interval still open there is counted.
 SCAN_SAMPLES = 2048
+
+#: Intervals of the coarse grid the search starts from, a power of two
+#: that divides SCAN_SAMPLES.
+_COARSE_SAMPLES = 64
 
 #: Two stationary angles closer than this (radians, on the circle) are
 #: considered the same point.
@@ -158,17 +167,21 @@ def _r_row(rp: ReducedParams) -> npt.NDArray[np.float64]:
     return np.array([rp.r1, rp.r2, rp.r3, rp.r4, rp.r5])
 
 
+def _left_to_right(terms: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """The sum over the last axis, added left to right as a scalar loop would."""
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
 def _scales(r: npt.NDArray[np.float64], system: SpinSystem) -> npt.NDArray[np.float64]:
     """``parameter_scale`` of every row of the r-array r.
 
     The five magnitudes are added left to right, as the scalar sum
     |r1| + |r2| + ... + |r5| would be.
     """
-    magnitude = np.abs(r)
-    total = magnitude[:, 0]
-    for j in range(1, 5):
-        total = total + magnitude[:, j]
-    return np.maximum(1.0, total) * system.s ** 2
+    return np.maximum(1.0, _left_to_right(np.abs(r))) * system.s ** 2
 
 
 def parameter_scale(rp: ReducedParams) -> float:
@@ -347,33 +360,42 @@ def _series(coef: npt.NDArray[np.float64], trig: npt.NDArray[np.float64]) -> npt
     return total
 
 
-# The dense stationary-point scan's angles, its bracket ends and basis rows.
-_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, SCAN_SAMPLES, endpoint=False)
-_SCAN_HI = np.append(_SCAN_THETAS[1:], 2.0 * math.pi)
-_SCAN_BASIS = _basis(_SCAN_THETAS)
+# The coarse grid of the stationary-point search: its angles, the upper
+# ends of its intervals (the last wraps to 2*pi) and its basis rows.
+_COARSE_THETAS = np.linspace(0.0, 2.0 * np.pi, _COARSE_SAMPLES, endpoint=False)
+_COARSE_HI = np.append(_COARSE_THETAS[1:], 2.0 * math.pi)
+_COARSE_BASIS = _basis(_COARSE_THETAS)
 
-# The samples whose brackets each branch polishes for ``landscapes``:
-# within two samples of the angles it owns there, [0, pi] and the band
-# just below 2*pi for phi = 0, (0, pi) for phi = pi. Roots two brackets
-# apart are a whole sample apart, so the margin leaves every merge
-# decision inside the owned angles as in a full-circle scan.
-_MARGIN = 2.0 * (2.0 * math.pi) / SCAN_SAMPLES
-_OWNED = np.stack([
-    (_SCAN_THETAS <= math.pi + _MARGIN) | (_SCAN_THETAS >= 2.0 * math.pi - _MARGIN),
-    _SCAN_THETAS <= math.pi + _MARGIN,
-])
-_WHOLE = np.ones((1, SCAN_SAMPLES), dtype=bool)
-for _table in (_ORDERS, _SCAN_THETAS, _SCAN_HI, _SCAN_BASIS, _OWNED, _WHOLE):
+#: Halvings from the coarse width down to the floor width 2*pi / SCAN_SAMPLES.
+_HALVINGS = int(math.log2(SCAN_SAMPLES // _COARSE_SAMPLES))
+
+# The angles whose stationary points each branch polishes for
+# ``landscapes``, as arcs (start, end) on the circle: within one floor
+# width of the angles it owns there, [0, pi] and the band just below
+# 2*pi for phi = 0, (0, pi) for phi = pi. A branch searches the coarse
+# intervals that meet its arc, so every merge decision inside the owned
+# angles is taken as in a full-circle search.
+_MARGIN = 2.0 * math.pi / SCAN_SAMPLES
+_OWNED = np.array([[-_MARGIN, math.pi + _MARGIN], [0.0, math.pi + _MARGIN]])
+_WHOLE = np.array([[0.0, 2.0 * math.pi]])
+for _table in (_ORDERS, _COARSE_THETAS, _COARSE_HI, _COARSE_BASIS, _OWNED, _WHOLE):
     _table.setflags(write=False)
 del _table
 
-#: Bytes of V' samples one scan pass holds, SCAN_SAMPLES float64 per
-#: branch of a node: nodes are scanned in chunks of this size, so a
-#: plane's scan (5 MB for 320 nodes) is never in memory at once. Each
-#: row is its own matrix product whatever the chunk, so bigger chunks
-#: only save per-pass overhead: on a 20x16 plane, 1 MiB chunks ran
-#: ~10% faster than 256 KiB (8 nodes) but raised peak memory by 1.8 MB.
-_SCAN_BYTES = 1 << 18
+#: Bytes of coarse V' samples one pass of the search holds,
+#: _COARSE_SAMPLES float64 per row: rows are sampled in chunks of this
+#: size, so a large batch is never sampled in memory at once. Each
+#: sample is its own elementwise series whatever the chunk. A pass holds
+#: about five arrays of this size at once; at 256 KiB they raised the
+#: plane-map job's peak RSS by 1.0-1.6 MB, at 64 KiB it stayed below
+#: that of a 2048-sample scan in 256 KiB chunks.
+_SCAN_BYTES = 1 << 16
+
+#: Rounding allowance of a certificate, per unit of the bound M on
+#: |V'''| (see ``_isolate``). M is at least 1/sqrt(2) of the sum of the
+#: coefficient magnitudes of V' and of V'', so this exceeds the rounding
+#: of each series (under 8 ulps of that sum) and of the grid angles.
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 #: Newton iterations a bracket may take before the polish gives up. No
 #: root of the test suite or of the benchmark workloads takes more than
@@ -456,50 +478,110 @@ def _polish(
     return root
 
 
-def _scan(
-    d1: npt.NDArray[np.float64], scale: npt.NDArray[np.float64], window: npt.NDArray[np.bool_]
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-    """Zero samples and sign-change brackets of V' on every row.
+def _root_free(
+    f_lo: npt.NDArray[np.float64], f_hi: npt.NDArray[np.float64],
+    bound: npt.NDArray[np.float64], slack: npt.NDArray[np.float64], width: float,
+) -> npt.NDArray[np.bool_]:
+    """Which intervals of this width hold no root of V' (see ``_isolate``)."""
+    sag = bound * (width * width / 8.0) + slack
+    return ((f_lo > 0.0) == (f_hi > 0.0)) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) > sag)
 
-    d1 is (nodes, branches, 6), the coefficients of V'; scale is the
-    parameter scale of each node and window (branches, SCAN_SAMPLES)
-    the samples kept on each branch. Returns the flat indices
-    row * SCAN_SAMPLES + sample, rows node-major, of the samples where
-    V' is 0 and of the brackets [sample, sample + 1) where it changes
-    sign. Rows whose V' is below resolution everywhere (a flat
-    potential) contribute neither. Nodes are scanned in chunks of
-    ``_SCAN_BYTES``, and at most one chunk is in memory at a time.
+
+def _isolate(
+    d1: npt.NDArray[np.float64], d2: npt.NDArray[np.float64],
+    scale: npt.NDArray[np.float64], kept: npt.NDArray[np.bool_],
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.intp],
+           npt.NDArray[np.float64], npt.NDArray[np.float64], int]:
+    """The roots of V' on every row, isolated by certified subdivision.
+
+    d1 and d2 are (rows, 6), the coefficients of V' and V''; scale is the
+    parameter scale of each row, and kept (rows, _COARSE_SAMPLES) marks
+    the coarse intervals searched on each row. M, the sum over k of
+    k**2 |(c_k, s_k)|, bounds |V'''|. So on an interval of width h:
+
+    * V' stays within M h**2 / 8 of its chord, and ends of one sign
+      further than that from 0 hold no root;
+    * |V''(mid)| > M h / 2 makes V' monotone, so ends of opposite signs
+      hold exactly one root, and a zero end is the only root.
+
+    Each test adds the rounding allowance ``_ROUNDING`` * M. Every other
+    interval is halved, down to the floor width 2*pi / SCAN_SAMPLES.
+    An interval still open there is counted, and it keeps the rule of a
+    plain sample scan: a sign change between nonzero ends is a bracket.
+
+    Returns the row and angle of every sample where V' is 0, which is a
+    root in its own right; the row, lower and upper end of every bracket;
+    and the number of open floor intervals. Rows whose V' is below
+    resolution everywhere (a flat potential) contribute nothing. Rows
+    are sampled in chunks of ``_SCAN_BYTES``, and only the intervals the
+    coarse tests leave open outlive their chunk.
     """
-    n_nodes, n_branches = d1.shape[:2]
-    zeros: list[npt.NDArray[np.intp]] = []
-    brackets: list[npt.NDArray[np.intp]] = []
-    peaks: list[npt.NDArray[np.float64]] = []
-    step = max(1, _SCAN_BYTES // (8 * SCAN_SAMPLES * n_branches))
-    for first in range(0, n_nodes, step):
-        # matmul with a trailing unit axis runs one product per row, each
-        # equal bit for bit to _SCAN_BASIS @ row; a single (rows x 6) @
-        # (6 x samples) product rounds differently
-        slope = np.matmul(_SCAN_BASIS, d1[first:first + step, :, :, None])[..., 0]
-        peaks.append(np.maximum(slope.max(axis=-1), -slope.min(axis=-1)).ravel())
-        base = first * n_branches * SCAN_SAMPLES
-        # A sample where the slope is 0 is a root in its own right; a
-        # bracket [thetas[i], thetas[i+1]) with a zero end is skipped
-        # because that node is recorded on its own. The last bracket
-        # wraps to 2*pi.
-        zeros.append(np.flatnonzero((slope == 0.0) & window) + base)
-        positive = slope > 0.0
-        change = np.flatnonzero((positive != np.roll(positive, -1, axis=-1)) & window)
-        flat = slope.ravel()
-        nxt = change + np.where(change % SCAN_SAMPLES == SCAN_SAMPLES - 1, 1 - SCAN_SAMPLES, 1)
-        brackets.append(change[(flat[change] != 0.0) & (flat[nxt] != 0.0)] + base)
-        del slope, flat  # free this chunk before the next one is computed
+    # |V'| is at most the sum of the magnitudes of its coefficients
+    kept = kept & (_left_to_right(np.abs(d1)) > 1e-12 * scale)[:, None]
+    bound = _left_to_right(np.hypot(d1[:, 0::2], d1[:, 1::2]) * _ORDERS ** 2)
+    slack = _ROUNDING * bound
+    width = 2.0 * math.pi / _COARSE_SAMPLES
 
-    live = np.concatenate(peaks) > 1e-12 * np.repeat(scale, n_branches)
-    at_zero = np.concatenate(zeros)
-    at_bracket = np.concatenate(brackets)
+    zero_row, zero_theta = [np.empty(0, np.intp)], [np.empty(0)]
+    open_row, open_k = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    open_lo, open_hi = [np.empty(0)], [np.empty(0)]
+    step = max(1, _SCAN_BYTES // (8 * _COARSE_SAMPLES))
+    for first in range(0, len(d1), step):
+        part = slice(first, first + step)
+        f_lo = _series(d1[part, None, :], _COARSE_BASIS)
+        f_hi = np.roll(f_lo, -1, axis=-1)  # the last interval wraps to 2*pi
+        row, k = np.nonzero((f_lo == 0.0) & kept[part])
+        zero_row.append(row + first)
+        zero_theta.append(_COARSE_THETAS[k])
+        closed = _root_free(f_lo, f_hi, bound[part, None], slack[part, None], width)
+        row, k = np.nonzero(kept[part] & ~closed)
+        open_row.append(row + first)
+        open_k.append(k)
+        open_lo.append(f_lo[row, k])
+        open_hi.append(f_hi[row, k])
+        del f_lo, f_hi, closed  # free this chunk before the next one is sampled
+
+    row, k = np.concatenate(open_row), np.concatenate(open_k)
+    lo, hi = _COARSE_THETAS[k], _COARSE_HI[k]
+    f_lo, f_hi = np.concatenate(open_lo), np.concatenate(open_hi)
+    bracket_row, bracket_lo, bracket_hi = [], [], []
+    for level in range(_HALVINGS + 1):
+        if level:
+            closed = _root_free(f_lo, f_hi, bound[row], slack[row], width)
+            row, lo, hi, f_lo, f_hi = (a[~closed] for a in (row, lo, hi, f_lo, f_hi))
+        mid = 0.5 * (lo + hi)
+        trig = _basis(mid)
+        zero_end = (f_lo == 0.0) | (f_hi == 0.0)
+        change = ~zero_end & ((f_lo > 0.0) != (f_hi > 0.0))
+        tested = np.flatnonzero(change | zero_end)
+        at = row[tested]
+        monotone = np.zeros(row.size, dtype=bool)
+        monotone[tested] = (
+            np.abs(_series(d2[at], trig[tested])) > bound[at] * (0.5 * width) + slack[at]
+        )
+        last = level == _HALVINGS
+        found = change & (monotone | last)
+        bracket_row.append(row[found])
+        bracket_lo.append(lo[found])
+        bracket_hi.append(hi[found])
+        if last:
+            break
+        split = ~monotone
+        row, lo, hi, f_lo, f_hi, mid, trig = (
+            a[split] for a in (row, lo, hi, f_lo, f_hi, mid, trig)
+        )
+        if not row.size:
+            break
+        f_mid = _series(d1[row], trig)
+        zero_row.append(row[f_mid == 0.0])
+        zero_theta.append(mid[f_mid == 0.0])
+        row = np.concatenate([row, row])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        f_lo, f_hi = np.concatenate([f_lo, f_mid]), np.concatenate([f_mid, f_hi])
+        width *= 0.5
     return (
-        at_zero[live[at_zero // SCAN_SAMPLES]],
-        at_bracket[live[at_bracket // SCAN_SAMPLES]],
+        np.concatenate(zero_row), np.concatenate(zero_theta), np.concatenate(bracket_row),
+        np.concatenate(bracket_lo), np.concatenate(bracket_hi), int(np.count_nonzero(~monotone)),
     )
 
 
@@ -536,45 +618,50 @@ def _distinct(row: npt.NDArray[np.intp], theta: npt.NDArray[np.float64]) -> npt.
     return keep
 
 
+def _arcs(window: npt.NDArray[np.float64]) -> npt.NDArray[np.bool_]:
+    """Which coarse intervals meet each arc (start, end) of window, one row per arc."""
+    start, end = window[:, :1], window[:, 1:]
+    two_pi = 2.0 * math.pi
+    return ((_COARSE_THETAS < end) & (_COARSE_HI > start)) | (
+        (_COARSE_THETAS - two_pi < end) & (_COARSE_HI - two_pi > start)
+    )
+
+
 def _stationary(
     coef: npt.NDArray[np.float64],
     offset: npt.NDArray[np.float64],
     scale: npt.NDArray[np.float64],
-    window: npt.NDArray[np.bool_],
+    window: npt.NDArray[np.float64],
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.float64],
-           npt.NDArray[np.float64], npt.NDArray[np.int_]]:
+           npt.NDArray[np.float64], npt.NDArray[np.int_], int]:
     """Stationary points of every branch of every node, by one array pass.
 
     coef is (nodes, branches, 6): the Fourier coefficients of V on each
     branch of each node, whose offset and parameter scale are offset
-    and scale. window is (branches, SCAN_SAMPLES) and marks, per
-    branch, the scan samples whose zeros and brackets are kept. Returns
-    one entry per stationary point, ordered by row and then theta: its
-    (node, branch) row, node-major; theta in [0, 2*pi); value;
-    curvature; and kind, ``_MINIMUM``, ``_MAXIMUM`` or 0 for an
-    inflection.
+    and scale. window is (branches, 2) and holds, per branch, the arc
+    (start, end) of angles whose roots are searched. Returns one entry
+    per stationary point, ordered by row and then theta: its (node,
+    branch) row, node-major; theta in [0, 2*pi); value; curvature; and
+    kind, ``_MINIMUM``, ``_MAXIMUM`` or 0 for an inflection. Last comes
+    the number of floor intervals where no certificate rules out a
+    missed pair of roots (see ``_isolate``).
 
-    ``_scan`` finds every sign change of V' (one matrix product per
-    row); the brackets of all rows are polished by one ``_polish`` call,
-    and the merged roots of all rows are classified by V'' and valued
-    by V together.
+    ``_isolate`` brackets every root of V' by certified subdivision of a
+    coarse grid; the brackets of all rows are polished by one ``_polish``
+    call, and the merged roots of all rows are classified by V'' and
+    valued by V together.
     """
     n_nodes, n_branches = coef.shape[:2]
     n_rows = n_nodes * n_branches
-    d1 = _derivative(coef)
-    at_zero, at_bracket = _scan(d1, scale, window)
-    d1 = d1.reshape(n_rows, 6)
+    d1 = _derivative(coef).reshape(n_rows, 6)
     d2 = _derivative(d1)
     row_scale = np.repeat(scale, n_branches)
-
-    bracket_row, sample = np.divmod(at_bracket, SCAN_SAMPLES)
-    polished = _polish(
-        _SCAN_THETAS[sample], _SCAN_HI[sample], d1[bracket_row], d2[bracket_row],
-        1e-12 * row_scale[bracket_row],
+    zero_row, zero_theta, bracket_row, lo, hi, uncertified = _isolate(
+        d1, d2, row_scale, np.tile(_arcs(window), (n_nodes, 1))
     )
-    zero_row, sample = np.divmod(at_zero, SCAN_SAMPLES)
+    polished = _polish(lo, hi, d1[bracket_row], d2[bracket_row], 1e-12 * row_scale[bracket_row])
     row = np.concatenate([zero_row, bracket_row])
-    theta = np.concatenate([_SCAN_THETAS[sample], polished]) % (2.0 * math.pi)
+    theta = np.concatenate([zero_theta, polished]) % (2.0 * math.pi)
     order = np.lexsort((theta, row))
     row, theta = row[order], theta[order]
     keep = _distinct(row, theta)
@@ -585,7 +672,7 @@ def _stationary(
     value = np.repeat(offset, n_branches)[row] + _series(coef.reshape(n_rows, 6)[row], trig)
     tol_flat = 1e-9 * row_scale[row]
     kind = np.where(curvature > tol_flat, _MINIMUM, np.where(curvature < -tol_flat, _MAXIMUM, 0))
-    return row, theta, value, curvature, kind
+    return row, theta, value, curvature, kind, uncertified
 
 
 def _points(
@@ -602,11 +689,12 @@ def _points(
 def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
     """All stationary angles of one branch over [0, 2*pi).
 
-    A dense scan of the analytic derivative brackets every sign change;
-    each bracket is polished by guarded Newton iteration and the result
-    is classified by the analytic second derivative. Stationary points
-    whose curvature is below resolution are labelled inflections, which
-    the separatrix machinery treats as proximity-to-bifurcation flags.
+    Certified subdivision of a coarse grid brackets every root of the
+    analytic derivative (see ``_isolate``); each bracket is polished by
+    guarded Newton iteration and the result is classified by the
+    analytic second derivative. Stationary points whose curvature is
+    below resolution are labelled inflections, which the separatrix
+    machinery treats as proximity-to-bifurcation flags.
 
     Returns an empty list only for the flat (all parameters negligible)
     potential, which callers should treat as degenerate.
@@ -614,7 +702,7 @@ def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
     r = _r_row(rp)[None]
     b = _branch_index(branch)
     coef = _coefficients(r, rp.system)[:, b:b + 1]
-    _, *point = _stationary(coef, np.array([rp.offset]), _scales(r, rp.system), _WHOLE)
+    _, *point, _ = _stationary(coef, np.array([rp.offset]), _scales(r, rp.system), _WHOLE)
     return _points(*point)
 
 
@@ -631,7 +719,7 @@ def _on_circle(
     (poles included) and the phi = pi branch owns the open interval,
     mirrored onto (pi, 2*pi); points of equal theta keep that order.
     """
-    row, theta, value, curvature, kind = _stationary(coef, offset, scale, _OWNED)
+    row, theta, value, curvature, kind, _ = _stationary(coef, offset, scale, _OWNED)
     node, branch = np.divmod(row, 2)
     degenerate = np.bincount(node, minlength=len(coef)) == 0
     two_pi = 2.0 * math.pi
@@ -700,10 +788,10 @@ _TIE_FACTOR = 1e-9
 def landscapes(rps: Sequence[ReducedParams]) -> list[LandscapeReport]:
     """``landscape`` of every parameter set in rps, in one array pass.
 
-    The scan, the Newton polish, the curvature and the value of every
-    node and branch are evaluated together (see ``_stationary``), so a
-    plane or a sweep costs a few array operations per chunk of nodes
-    rather than a scan and a scalar polish per node. Each report equals
+    The root search, the Newton polish, the curvature and the value of
+    every node and branch are evaluated together (see ``_stationary``),
+    so a plane or a sweep costs a few array operations per chunk of
+    nodes rather than a search and a scalar polish per node. Each report equals
     the one ``landscape`` returns for that node alone, bit for bit:
     which nodes share a call changes nothing.
     """

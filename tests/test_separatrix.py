@@ -822,3 +822,36 @@ def test_plane_map_work_counts(monkeypatch):
     assert len(kernel_rows) == 1 + max(probes)
     assert sum(kernel_rows[1:]) == sum(probes)
     assert sum(probes) <= 104  # 36 events at the time of writing
+
+
+def test_plane_map_certifies_every_interval(monkeypatch):
+    # The stationary-point search leaves no floor interval of the
+    # plane-map job uncertified, and it evaluates V' and V'' at most 64k
+    # times in all; a plain 2048-sample scan of V' took 1,736,704.
+    uncertified, evaluations, searching = [], [0], [False]
+    stationary, isolate, series = _ls._stationary, _ls._isolate, _ls._series
+
+    def counting_stationary(*args):
+        out = stationary(*args)
+        uncertified.append(out[-1])
+        return out
+
+    def flagging_isolate(*args):
+        searching[0] = True
+        try:
+            return isolate(*args)
+        finally:
+            searching[0] = False
+
+    def counting_series(coef, trig):
+        out = series(coef, trig)
+        if searching[0]:
+            evaluations[0] += out.size
+        return out
+
+    monkeypatch.setattr(_ls, "_stationary", counting_stationary)
+    monkeypatch.setattr(_ls, "_isolate", flagging_isolate)
+    monkeypatch.setattr(_ls, "_series", counting_series)
+    classify_cell_edges(_plane_map())
+    assert uncertified and not any(uncertified)
+    assert evaluations[0] <= 64_000  # 56,388 at the time of writing
