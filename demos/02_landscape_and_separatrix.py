@@ -17,7 +17,7 @@ from spinscape import (
     FieldVector,
     PlaneSpec,
     classify_cell_edges,
-    landscape,
+    landscapes,
     lookup,
     potential_reduced,
     reduce_params,
@@ -34,7 +34,7 @@ thetas = np.linspace(0.0, np.pi, 361)
 rows = []
 for bz in (0.0, 1.5, 3.0, 3.5):
     rp = reduce_params(compound.system, compound.aniso, FieldVector(bz=bz))
-    rep = landscape(rp)
+    rep = landscapes([rp])[0]
     tie = ", degenerate wells" if rep.tie else ""
     print(f"bz={bz:4.1f} K: {rep.n_minima} wells, {rep.n_maxima} barriers{tie}")
     vp = potential_reduced(thetas, rp, branch=1)

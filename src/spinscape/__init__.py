@@ -28,8 +28,6 @@ from .landscape import (
     LandscapeReport,
     ReducedParams,
     coherent_expectation,
-    critical_points,
-    landscape,
     landscapes,
     parameter_scale,
     potential_angular,
@@ -88,14 +86,12 @@ __all__ = [
     "catalog",
     "classify_cell_edges",
     "coherent_expectation",
-    "critical_points",
     "dump_compound",
     "eigh",
     "fidelity",
     "fidelity_map",
     "heat_capacity_scan",
     "heatcap_map",
-    "landscape",
     "landscapes",
     "load_compound",
     "lookup",

@@ -219,10 +219,13 @@ def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> R
     bx, bz = (getattr(args, flag, None) for flag in ("bx", "bz"))
     bx = 0.0 if bx is None else bx
     bz = 0.0 if bz is None else bz
+    two_s = getattr(args, "two_s", None)
     if compound is not None:
+        if two_s is not None:
+            raise CliError("--two-s cannot be set: the compound fixes 2S")
         rp = reduce_params(compound.system, compound.aniso, FieldVector(bx=bx, bz=bz))
     else:
-        system = SpinSystem(getattr(args, "two_s", 10))
+        system = SpinSystem(10 if two_s is None else two_s)
         rp = ReducedParams(r1=bx, r2=bz, r3=0.0, r4=0.0, r5=0.0, system=system)
     if args.r_params is not None:
         rp = replace(rp, **args.r_params)
@@ -315,6 +318,10 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
         field = _FIELD_FLAG.get(axis)
         if field is not None and getattr(args, field) is not None:
             raise CliError(f"--{field} cannot be set: the plane sweeps it over {flag}")
+    for axis, dest in _RANGE_FLAG.items():
+        if axis not in canon and getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise CliError(f"{flag} cannot be set: --axes {args.axes} does not sweep {axis}")
     n1, n2 = args.grid
 
     plane = PlaneSpec(
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="reduced polar potential on a theta grid")
     _add_compound_flags(p)
-    p.add_argument("--two-s", type=int, default=10, help="2S when no compound is given")
+    p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
     p.add_argument("--bx", type=float, default=0.0, help="transverse field (kelvin)")
     p.add_argument("--bz", type=float, default=0.0, help="axial field (kelvin)")
     p.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separatrix", help="transition curves in a two-parameter window")
     _add_compound_flags(p)
-    p.add_argument("--two-s", type=int, default=10, help="2S when no compound is given")
+    p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
     p.add_argument("--axes", default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
     p.add_argument("--bx", type=float, help="fixed transverse field when bx is not swept (default 0)")
     p.add_argument("--bz", type=float, help="fixed axial field when bz is not swept (default 0)")

@@ -25,12 +25,12 @@ expectation of Sz is -S*cos(theta) while Sx and Sy follow
 +S*sin(theta)*cos(phi) and +S*sin(theta)*sin(phi).
 
 Critical-point machinery for the reduced potential lives here too:
-``critical_points`` locates and classifies all stationary angles of one
-branch, and ``landscape`` merges both branches into a report for the
-full great circle through the easy axis. ``landscapes`` makes those
-reports for many parameter sets at once: one kernel isolates, polishes
-and classifies the stationary points of every node and branch as whole
-arrays, and every report equals the one a node gets alone. V' is a
+``landscapes`` reports the stationary points of the full great circle
+through the easy axis for many parameter sets at once. The phi = 0
+branch owns theta in [0, pi] and the phi = pi branch the rest of the
+circle; one kernel, ``_stationary``, isolates, polishes and classifies
+the owned points of every node and branch as whole arrays, and every
+report equals the one a node gets alone. V' is a
 trigonometric polynomial with known coefficients, so a bound on its
 third derivative certifies each interval of a coarse grid as root-free
 or as holding exactly one root; intervals neither test settles are
@@ -369,16 +369,19 @@ _COARSE_BASIS = _basis(_COARSE_THETAS)
 #: Halvings from the coarse width down to the floor width 2*pi / SCAN_SAMPLES.
 _HALVINGS = int(math.log2(SCAN_SAMPLES // _COARSE_SAMPLES))
 
-# The angles whose stationary points each branch polishes for
-# ``landscapes``, as arcs (start, end) on the circle: within one floor
-# width of the angles it owns there, [0, pi] and the band just below
-# 2*pi for phi = 0, (0, pi) for phi = pi. A branch searches the coarse
-# intervals that meet its arc, so every merge decision inside the owned
-# angles is taken as in a full-circle search.
+# The angles whose stationary points each branch polishes, as arcs
+# (start, end) on the circle: within one floor width of the angles it
+# owns, [0, pi] and the band just below 2*pi for phi = 0, (0, pi) for
+# phi = pi. _SEARCHED marks, one row per branch, the coarse intervals
+# that meet its arc, so every merge decision inside the owned angles is
+# taken as in a full-circle search.
 _MARGIN = 2.0 * math.pi / SCAN_SAMPLES
 _OWNED = np.array([[-_MARGIN, math.pi + _MARGIN], [0.0, math.pi + _MARGIN]])
-_WHOLE = np.array([[0.0, 2.0 * math.pi]])
-for _table in (_ORDERS, _COARSE_THETAS, _COARSE_HI, _COARSE_BASIS, _OWNED, _WHOLE):
+_SEARCHED = np.logical_or.reduce([
+    (_COARSE_THETAS - shift < _OWNED[:, 1:]) & (_COARSE_HI - shift > _OWNED[:, :1])
+    for shift in (0.0, 2.0 * math.pi)
+])
+for _table in (_ORDERS, _COARSE_THETAS, _COARSE_HI, _COARSE_BASIS, _SEARCHED):
     _table.setflags(write=False)
 del _table
 
@@ -618,46 +621,34 @@ def _distinct(row: npt.NDArray[np.intp], theta: npt.NDArray[np.float64]) -> npt.
     return keep
 
 
-def _arcs(window: npt.NDArray[np.float64]) -> npt.NDArray[np.bool_]:
-    """Which coarse intervals meet each arc (start, end) of window, one row per arc."""
-    start, end = window[:, :1], window[:, 1:]
-    two_pi = 2.0 * math.pi
-    return ((_COARSE_THETAS < end) & (_COARSE_HI > start)) | (
-        (_COARSE_THETAS - two_pi < end) & (_COARSE_HI - two_pi > start)
-    )
-
-
 def _stationary(
-    coef: npt.NDArray[np.float64],
-    offset: npt.NDArray[np.float64],
-    scale: npt.NDArray[np.float64],
-    window: npt.NDArray[np.float64],
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.float64],
-           npt.NDArray[np.float64], npt.NDArray[np.int_], int]:
-    """Stationary points of every branch of every node, by one array pass.
+    coef: npt.NDArray[np.float64], offset: npt.NDArray[np.float64], scale: npt.NDArray[np.float64],
+) -> tuple[npt.NDArray[np.bool_], npt.NDArray[np.intp], npt.NDArray[np.float64],
+           npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.int_], int]:
+    """The stationary structure of every node on the great circle, by one array pass.
 
-    coef is (nodes, branches, 6): the Fourier coefficients of V on each
-    branch of each node, whose offset and parameter scale are offset
-    and scale. window is (branches, 2) and holds, per branch, the arc
-    (start, end) of angles whose roots are searched. Returns one entry
-    per stationary point, ordered by row and then theta: its (node,
-    branch) row, node-major; theta in [0, 2*pi); value; curvature; and
-    kind, ``_MINIMUM``, ``_MAXIMUM`` or 0 for an inflection. Last comes
-    the number of floor intervals where no certificate rules out a
-    missed pair of roots (see ``_isolate``).
+    coef is (nodes, 2, 6): the Fourier coefficients of V on the phi = 0
+    and phi = pi branches of each node, whose offset and parameter scale
+    are offset and scale. Returns the flat-potential flag of every node;
+    then the node, theta, value, curvature and kind (``_MINIMUM``,
+    ``_MAXIMUM`` or 0 for an inflection) of every point, ordered by node
+    and then theta; and last the number of floor intervals where no
+    certificate rules out a missed pair of roots (see ``_isolate``). The
+    phi = 0 branch owns theta in [0, pi] (poles included) and the phi =
+    pi branch owns the open interval, mirrored onto (pi, 2*pi); points of
+    equal theta keep that order.
 
-    ``_isolate`` brackets every root of V' by certified subdivision of a
-    coarse grid; the brackets of all rows are polished by one ``_polish``
-    call, and the merged roots of all rows are classified by V'' and
-    valued by V together.
+    ``_isolate`` brackets every root of V' in the coarse intervals of
+    ``_SEARCHED`` by certified subdivision; the brackets of all rows are
+    polished by one ``_polish`` call, and only the owned points of all
+    rows are classified by V'' and valued by V together.
     """
-    n_nodes, n_branches = coef.shape[:2]
-    n_rows = n_nodes * n_branches
-    d1 = _derivative(coef).reshape(n_rows, 6)
+    n_nodes = len(coef)
+    d1 = _derivative(coef).reshape(2 * n_nodes, 6)
     d2 = _derivative(d1)
-    row_scale = np.repeat(scale, n_branches)
+    row_scale = np.repeat(scale, 2)
     zero_row, zero_theta, bracket_row, lo, hi, uncertified = _isolate(
-        d1, d2, row_scale, np.tile(_arcs(window), (n_nodes, 1))
+        d1, d2, row_scale, np.tile(_SEARCHED, (n_nodes, 1))
     )
     polished = _polish(lo, hi, d1[bracket_row], d2[bracket_row], 1e-12 * row_scale[bracket_row])
     row = np.concatenate([zero_row, bracket_row])
@@ -667,61 +658,8 @@ def _stationary(
     keep = _distinct(row, theta)
     row, theta = row[keep], theta[keep]
 
-    trig = _basis(theta)
-    curvature = _series(d2[row], trig)
-    value = np.repeat(offset, n_branches)[row] + _series(coef.reshape(n_rows, 6)[row], trig)
-    tol_flat = 1e-9 * row_scale[row]
-    kind = np.where(curvature > tol_flat, _MINIMUM, np.where(curvature < -tol_flat, _MAXIMUM, 0))
-    return row, theta, value, curvature, kind, uncertified
-
-
-def _points(
-    theta: npt.NDArray[np.float64], value: npt.NDArray[np.float64],
-    curvature: npt.NDArray[np.float64], kind: npt.NDArray[np.int_],
-) -> list[CriticalPoint]:
-    """CriticalPoints from the per-point arrays of ``_stationary``."""
-    return [
-        CriticalPoint(t, v, _KIND_NAMES[k], c)
-        for t, v, k, c in zip(theta.tolist(), value.tolist(), kind.tolist(), curvature.tolist())
-    ]
-
-
-def critical_points(rp: ReducedParams, branch: int = 1) -> list[CriticalPoint]:
-    """All stationary angles of one branch over [0, 2*pi).
-
-    Certified subdivision of a coarse grid brackets every root of the
-    analytic derivative (see ``_isolate``); each bracket is polished by
-    guarded Newton iteration and the result is classified by the
-    analytic second derivative. Stationary points whose curvature is
-    below resolution are labelled inflections, which the separatrix
-    machinery treats as proximity-to-bifurcation flags.
-
-    Returns an empty list only for the flat (all parameters negligible)
-    potential, which callers should treat as degenerate.
-    """
-    r = _r_row(rp)[None]
-    b = _branch_index(branch)
-    coef = _coefficients(r, rp.system)[:, b:b + 1]
-    _, *point, _ = _stationary(coef, np.array([rp.offset]), _scales(r, rp.system), _WHOLE)
-    return _points(*point)
-
-
-def _on_circle(
-    coef: npt.NDArray[np.float64], offset: npt.NDArray[np.float64], scale: npt.NDArray[np.float64],
-) -> tuple[npt.NDArray[np.bool_], npt.NDArray[np.intp], npt.NDArray[np.float64],
-           npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.int_]]:
-    """The stationary structure of every node on the great circle.
-
-    coef, offset and scale are those of ``_stationary`` with both
-    branches. Returns the flat-potential flag of every node, then the
-    node, theta, value, curvature and kind of every point, ordered by
-    node and then theta. The phi = 0 branch owns theta in [0, pi]
-    (poles included) and the phi = pi branch owns the open interval,
-    mirrored onto (pi, 2*pi); points of equal theta keep that order.
-    """
-    row, theta, value, curvature, kind, _ = _stationary(coef, offset, scale, _OWNED)
     node, branch = np.divmod(row, 2)
-    degenerate = np.bincount(node, minlength=len(coef)) == 0
+    degenerate = np.bincount(node, minlength=n_nodes) == 0
     two_pi = 2.0 * math.pi
     plus = branch == 0
     owned = np.where(
@@ -729,10 +667,17 @@ def _on_circle(
         (theta <= math.pi + _POLE_TOL) | (theta >= two_pi - _POLE_TOL),
         (_POLE_TOL < theta) & (theta < math.pi - _POLE_TOL),
     )
-    theta = np.where(plus, theta, two_pi - theta)
+    on_circle = np.where(plus, theta, two_pi - theta)
     at = np.flatnonzero(owned)
-    at = at[np.lexsort((theta[at], node[at]))]
-    return degenerate, node[at], theta[at], value[at], curvature[at], kind[at]
+    at = at[np.lexsort((on_circle[at], node[at]))]
+    row, node = row[at], node[at]
+
+    trig = _basis(theta[at])
+    curvature = _series(d2[row], trig)
+    value = offset[node] + _series(coef.reshape(-1, 6)[row], trig)
+    tol_flat = 1e-9 * scale[node]
+    kind = np.where(curvature > tol_flat, _MINIMUM, np.where(curvature < -tol_flat, _MAXIMUM, 0))
+    return degenerate, node, on_circle[at], value, curvature, kind, uncertified
 
 
 class _Summary(NamedTuple):
@@ -759,7 +704,7 @@ def _summaries(r: npt.NDArray[np.float64], system: SpinSystem, offset: float) ->
     all, and each node's summary is the one it gets alone.
     """
     n = len(r)
-    degenerate, node, theta, value, _, kind = _on_circle(
+    degenerate, node, theta, value, _, kind, _ = _stationary(
         _coefficients(r, system), np.full(n, offset), _scales(r, system)
     )
     counts = np.zeros((n, 2), dtype=np.intp)
@@ -786,14 +731,15 @@ _TIE_FACTOR = 1e-9
 
 
 def landscapes(rps: Sequence[ReducedParams]) -> list[LandscapeReport]:
-    """``landscape`` of every parameter set in rps, in one array pass.
+    """The stationary structure of the great circle at every parameter set in rps.
 
+    Each report merges both branches as ``LandscapeReport`` describes.
     The root search, the Newton polish, the curvature and the value of
     every node and branch are evaluated together (see ``_stationary``),
     so a plane or a sweep costs a few array operations per chunk of
-    nodes rather than a search and a scalar polish per node. Each report equals
-    the one ``landscape`` returns for that node alone, bit for bit:
-    which nodes share a call changes nothing.
+    nodes rather than a search and a scalar polish per node. Each report
+    equals the one its node gets alone, bit for bit: which nodes share a
+    call changes nothing.
     """
     rps = list(rps)
     if not rps:
@@ -805,26 +751,18 @@ def landscapes(rps: Sequence[ReducedParams]) -> list[LandscapeReport]:
         of = np.array([rp.system == system for rp in rps])
         coef[of] = _coefficients(r[of], system)
         scale[of] = _scales(r[of], system)
-    degenerate, node, *point = _on_circle(coef, np.array([rp.offset for rp in rps]), scale)
-    points = _points(*point)
+    degenerate, node, theta, value, curvature, kind, _ = _stationary(
+        coef, np.array([rp.offset for rp in rps]), scale
+    )
+    points = [
+        CriticalPoint(t, v, _KIND_NAMES[k], c)
+        for t, v, k, c in zip(theta.tolist(), value.tolist(), kind.tolist(), curvature.tolist())
+    ]
     bounds = np.searchsorted(node, np.arange(len(rps) + 1)).tolist()
     return [
         _report(points[bounds[k]:bounds[k + 1]], flat, scale_k)
         for k, (flat, scale_k) in enumerate(zip(degenerate.tolist(), scale.tolist()))
     ]
-
-
-def landscape(rp: ReducedParams) -> LandscapeReport:
-    """Merged stationary structure of both branches on one circle.
-
-    The phi = 0 branch owns theta in [0, pi] (poles included) and the
-    phi = pi branch owns the open interval, mirrored onto (pi, 2*pi).
-    Together they cover the full great circle through the easy axis
-    exactly once. Each branch polishes only the roots it owns; the
-    other half of its circle belongs to the mirror branch. For many
-    parameter sets at once, ``landscapes`` is faster.
-    """
-    return landscapes([rp])[0]
 
 
 def _report(points: list[CriticalPoint], degenerate: bool, scale: float) -> LandscapeReport:

@@ -1,12 +1,12 @@
 """End-to-end command-line checks, all in-process via main()."""
 
-import importlib
 import json
 
 import numpy as np
 import pytest
 
 import spinscape.cli as cli
+import spinscape.landscape as landscape
 from spinscape import MU_B_OVER_KB
 from spinscape.eig import ConvergenceError
 
@@ -187,12 +187,17 @@ _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", 
         (_SEPARATRIX + ["--axes", "bx,bz", "--bx-range", "0:1", "--r-params", "r3=-1,r1=2"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bz", "5"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bx", "0"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r3-range", "0:1"], 2, None),
+        (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--two-s", "20"], 2, None),
+        (["potential", "--compound", "3", "--grid", "5", "--two-s", "20"], 2, None),
     ],
     ids=[
         "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
         "separatrix-no-r3-range", "spectrum-r-params-sets-swept-axis",
         "separatrix-r-params-sets-axis2", "separatrix-r-params-sets-axis1",
         "separatrix-bz-sets-axis1", "separatrix-bx-sets-axis2",
+        "separatrix-range-of-unswept-axis", "separatrix-two-s-with-compound",
+        "potential-two-s-with-compound",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -206,7 +211,7 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
         monkeypatch.setattr(cli, "sweep_crossings", sweep)
     if code == 2:
         # the one stationary-point kernel behind every landscape
-        monkeypatch.setattr(importlib.import_module("spinscape.landscape"), "_stationary", refuse)
+        monkeypatch.setattr(landscape, "_stationary", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code
@@ -223,6 +228,24 @@ def test_conflicting_compound_sources(tmp_path):
         "--out", str(tmp_path / "v.csv"),
     ])
     assert code == 2
+
+
+def test_two_s_sets_the_spin_only_without_a_compound(tmp_path, capsys):
+    # without a compound 2S is --two-s, 10 by default; a compound fixes
+    # 2S, so --two-s beside it is an error rather than silently unused
+    out = tmp_path / "p.csv"
+    for extra, two_s in (([], "10"), (["--two-s", "20"], "20")):
+        assert cli.main(["potential", *extra, "--r-params", "r3=-1", "--grid", "5", "--out", str(out)]) == 0
+        assert f"# two_s: {two_s}" in out.read_text().splitlines()
+    out.unlink()
+    f = tmp_path / "c.txt"
+    f.write_text("id = x\ntwo_s = 10\nd = -0.5\n")
+    separatrix = ["separatrix", "--axes", "bz,r3", "--bz-range=-0.5:0.5", "--r3-range=-1:0", "--grid", "5"]
+    for command in (["potential", "--grid", "5"], separatrix):
+        for source in (["--compound", "3"], ["--compound-file", str(f)]):
+            assert cli.main([*command, *source, "--two-s", "20", "--out", str(out)]) == 2
+            assert "--two-s" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_unknown_compound_exits_2(tmp_path):
@@ -364,6 +387,18 @@ def test_separatrix_unknown_axis_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "'r9'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_separatrix_rejects_the_range_of_an_unswept_axis(tmp_path, capsys):
+    out = tmp_path / "sep.csv"
+    code = cli.main([
+        "separatrix", "--compound", "3-trigonal", "--axes", "bz,bx",
+        "--bz-range=-0.3:0.3", "--bx-range=-1:1", "--r3-range=0:1", "--grid", "5", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--r3-range" in err and "r3" in err
     assert not out.exists()
 
 

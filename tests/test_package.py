@@ -1,5 +1,6 @@
 """Package surface: the names spinscape exports, and the README's tour of them."""
 
+import sys
 from pathlib import Path
 
 import spinscape
@@ -10,6 +11,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in spinscape.__all__ if not hasattr(spinscape, name)]
     assert missing == []
     assert len(set(spinscape.__all__)) == len(spinscape.__all__)
+
+
+def test_import_binds_the_landscape_module():
+    # no exported name shadows the module it comes from
+    import spinscape.landscape as m
+
+    assert m is sys.modules["spinscape.landscape"]
+    assert spinscape.landscape is m
 
 
 def test_readme_library_quick_tour_runs(capsys):

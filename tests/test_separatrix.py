@@ -1,6 +1,5 @@
 """Bifurcation and degeneracy curve detection in parameter planes."""
 
-import importlib
 import math
 
 import numpy as np
@@ -17,6 +16,8 @@ from spinscape import (
     reduce_params,
     sweep_crossings,
 )
+import spinscape.landscape as _ls
+import spinscape.separatrix as _sep
 from spinscape.separatrix import BIFURCATION_REFINE, MAXWELL_REFINE
 
 S5 = SpinSystem(10)
@@ -193,8 +194,6 @@ def test_points_empty_kind():
 # bisection on the gap, on count-change and tracking-failure edges it
 # must be that bisection.
 
-_sep = importlib.import_module("spinscape.separatrix")
-_ls = importlib.import_module("spinscape.landscape")
 _TOL_DV = 1e-10
 _COUNTS = (2, 2)
 _THETAS = (0.5, 2.5)
@@ -801,9 +800,9 @@ def test_plane_map_work_counts(monkeypatch):
     kernel_rows = []
     stationary = _ls._stationary
 
-    def counting_stationary(coef, offset, scale, window):
+    def counting_stationary(coef, offset, scale):
         kernel_rows.append(len(coef))
-        return stationary(coef, offset, scale, window)
+        return stationary(coef, offset, scale)
 
     monkeypatch.setattr(ReducedParams, "__post_init__", counting_post_init)
     monkeypatch.setattr(_ls, "_stationary", counting_stationary)
