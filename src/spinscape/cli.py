@@ -215,8 +215,11 @@ def _reduced_settings(rp: ReducedParams) -> list[tuple[str, str]]:
 
 def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> ReducedParams:
     """Fixed reduced parameters from compound, fixed fields, and overrides."""
-    # separatrix leaves --bx and --bz at None unless they are given
+    # potential and separatrix leave --bx and --bz at None unless they are given
     bx, bz = (getattr(args, flag, None) for flag in ("bx", "bz"))
+    for axis, flag in _FIELD_FLAG.items():
+        if axis in (args.r_params or {}) and getattr(args, flag, None) is not None:
+            raise CliError(f"--r-params cannot set {axis}: --{flag} sets it")
     bx = 0.0 if bx is None else bx
     bz = 0.0 if bz is None else bz
     two_s = getattr(args, "two_s", None)
@@ -502,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="reduced polar potential on a theta grid")
     _add_compound_flags(p)
     p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
-    p.add_argument("--bx", type=float, default=0.0, help="transverse field (kelvin)")
-    p.add_argument("--bz", type=float, default=0.0, help="axial field (kelvin)")
+    p.add_argument("--bx", type=float, help="transverse field (kelvin, default 0)")
+    p.add_argument("--bz", type=float, help="axial field (kelvin, default 0)")
     p.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
     p.add_argument("--grid", type=_count, default="721", help="number of theta samples on [0, pi]")
     _add_tesla_flag(p)

@@ -173,6 +173,11 @@ def _failing_sweep(*args, **kwargs):
 
 _SPECTRUM = ["spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "3"]
 _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", "--grid", "16"]
+# --bx and --r-params r1 both fix r1
+_FIELD_TWICE = [
+    ["potential", "--compound", "3", "--grid", "3", "--bx", "1", "--r-params", "r1=2"],
+    _SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--bx", "1", "--r-params", "r1=2"],
+]
 
 
 @pytest.mark.parametrize(
@@ -190,6 +195,8 @@ _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", 
         (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r3-range", "0:1"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--two-s", "20"], 2, None),
         (["potential", "--compound", "3", "--grid", "5", "--two-s", "20"], 2, None),
+        (_FIELD_TWICE[0], 2, None),
+        (_FIELD_TWICE[1], 2, None),
     ],
     ids=[
         "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
@@ -197,7 +204,8 @@ _SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", 
         "separatrix-r-params-sets-axis2", "separatrix-r-params-sets-axis1",
         "separatrix-bz-sets-axis1", "separatrix-bx-sets-axis2",
         "separatrix-range-of-unswept-axis", "separatrix-two-s-with-compound",
-        "potential-two-s-with-compound",
+        "potential-two-s-with-compound", "potential-bx-with-r-params-r1",
+        "separatrix-bx-with-r-params-r1",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -218,6 +226,18 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
     assert list(tmp_path.iterdir()) == []
     if "--r-params" in argv and code == 2:
         assert "--r-params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _FIELD_TWICE, ids=["potential", "separatrix"])
+def test_a_fixed_field_set_twice_names_both_flags(tmp_path, capsys, argv):
+    # neither flag silently overrides the other; either one alone is taken
+    out = tmp_path / "f.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--bx" in err and "--r-params" in err
+    i = argv.index("--bx")
+    assert cli.main(argv[:i] + argv[i + 2:] + ["--out", str(out)]) == 0
+    assert "# r1: 2.0" in out.read_text().splitlines()
 
 
 def test_conflicting_compound_sources(tmp_path):

@@ -550,8 +550,8 @@ def test_zero_at_a_halving_midpoint_is_a_root():
     # V' = sin(m - t) - sin(2 (m - t)) / 2 = sin u (1 - cos u), u = m - t,
     # has a triple root at m, the midpoint of the first coarse interval,
     # and evaluates to 0 there exactly. No certificate settles a triple
-    # root and the halves of that interval end on the zero, so only the
-    # midpoint itself records the root.
+    # root, so the interval is halved; the exact zero at m makes the upper
+    # half a bracket, and the polish returns its lower end m unchanged.
     m = 0.5 * _ls._COARSE_HI[0]
     coef = np.array([
         math.cos(m), math.sin(m), -0.25 * math.cos(2.0 * m), -0.25 * math.sin(2.0 * m), 0.0, 0.0,
@@ -611,6 +611,23 @@ def test_mirrored_minima_have_bit_equal_values(r3, r4):
         mirror = minima[2.0 * math.pi - p.theta]
         assert mirror.value == p.value
     assert report.tie
+    # a stable ranking resolves the tie to the minimum at the lower theta
+    tied = [p for p in minima.values() if p.value == report.global_minimum.value]
+    assert len(tied) >= 2
+    assert report.global_minimum == min(tied, key=lambda p: p.theta)
+
+
+def test_polish_returns_an_exact_zero_at_the_lower_end_unchanged():
+    # _isolate brackets an exact zero of V' as the lower end of an
+    # interval. V' = sin(theta - t) is exactly 0 at t, where its two
+    # products are equal. A negative tolerance rules out the |V'| exit,
+    # so a Newton loop could only stop strictly inside a bracket: each t
+    # comes back bit for bit only if it took no step.
+    lo = np.array([0.7, 2.9])
+    sine = np.array([[-math.sin(t), math.cos(t), 0.0, 0.0, 0.0, 0.0] for t in lo.tolist()])
+    assert np.all(_ls._series(sine, _ls._basis(lo)) == 0.0)
+    roots = _ls._polish(lo, lo + 0.5, sine, _ls._derivative(sine), np.full(2, -1.0))
+    assert roots.tobytes() == lo.tobytes()
 
 
 def test_polish_root_raises_when_iterations_run_out():
