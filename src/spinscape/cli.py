@@ -23,28 +23,29 @@ rescales field-like inputs (fixed field components, field ranges, the
 fidelity increment) by mu_B/k_B, about 0.6717 K/T; the Lande factor,
 fixed at g = 2 in the Hamiltonian, does not enter it. Anisotropy-style
 inputs such as ``--r-params`` stay in kelvin either way.
+
+Each reduced parameter r1..r5 has at most one owner: the range flag of
+an axis the command sweeps, ``--bx`` or ``--bz``, or an ``--r-params``
+key. ``_reduced_from_args`` alone applies that rule, and a parameter
+given two owners exits 2 naming both flags.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .compounds import Compound, catalog, dump_compound, load_compound, lookup
 from .eig import ConvergenceError
-from .landscape import ReducedParams, potential_reduced, reduce_params
+from .landscape import _R_NAMES, ReducedParams, potential_reduced, reduce_params
 from .observables import fidelity_map, heatcap_map, spectra
 from .separatrix import KINDS, PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
-from .spin import (
-    MU_B_OVER_KB,
-    FieldVector,
-    SpinSystem,
-)
+from .spin import MU_B_OVER_KB, AnisotropyParams, FieldVector, SpinSystem
 from . import writers
 
 EXIT_OK = 0
@@ -54,7 +55,7 @@ EXIT_NUMERIC = 3
 #: range flag that feeds each canonical axis
 _RANGE_FLAG = {"r1": "bx_range", "r2": "bz_range", "r3": "r3_range", "r4": "r4_range", "r5": "r5_range"}
 
-#: fixed-field flag that sets each field axis
+#: fixed-field flag that sets each field axis when it is not swept
 _FIELD_FLAG = {"r1": "bx", "r2": "bz"}
 
 #: flags holding a field, a field window or a field increment, which --tesla converts
@@ -182,6 +183,10 @@ def _scaled(value: float | tuple[float, float], factor: float) -> float | tuple[
     return tuple(v * factor for v in value) if isinstance(value, tuple) else value * factor
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _out_path(args: argparse.Namespace) -> Path:
     if not args.out:
         raise CliError("--out is required")
@@ -189,40 +194,39 @@ def _out_path(args: argparse.Namespace) -> Path:
 
 
 def _compound_settings(compound: Compound) -> list[tuple[str, str]]:
-    a = compound.aniso
-    return [
-        ("compound", compound.id),
-        ("two_s", str(compound.system.two_s)),
-        ("d", repr(a.d)),
-        ("e", repr(a.e)),
-        ("b40", repr(a.b40)),
-        ("b42", repr(a.b42)),
-        ("b43", repr(a.b43)),
-        ("b44", repr(a.b44)),
-    ]
+    aniso = [(f.name, repr(getattr(compound.aniso, f.name))) for f in fields(AnisotropyParams)]
+    return [("compound", compound.id), ("two_s", str(compound.system.two_s)), *aniso]
 
 
 def _reduced_settings(rp: ReducedParams) -> list[tuple[str, str]]:
-    return [
-        ("r1", repr(rp.r1)),
-        ("r2", repr(rp.r2)),
-        ("r3", repr(rp.r3)),
-        ("r4", repr(rp.r4)),
-        ("r5", repr(rp.r5)),
-        ("offset", repr(rp.offset)),
-    ]
+    return [(name, repr(getattr(rp, name))) for name in (*_R_NAMES, "offset")]
 
 
-def _reduced_from_args(args: argparse.Namespace, compound: Compound | None) -> ReducedParams:
-    """Fixed reduced parameters from compound, fixed fields, and overrides."""
+def _reduced_from_args(
+    args: argparse.Namespace, compound: Compound | None, swept: Sequence[str] = ()
+) -> ReducedParams:
+    """Fixed reduced parameters from compound, fixed fields, and overrides.
+
+    swept names the axes the command sweeps, each over its range flag
+    in ``_RANGE_FLAG``. Every flag that sets one of r1..r5 is counted
+    here: a swept axis needs its range flag, an unswept one takes none,
+    and a parameter set by two flags is an error naming both.
+    """
+    given = vars(args)
+    for axis in _R_NAMES:
+        sweep = _flag(_RANGE_FLAG[axis])
+        dests = (_RANGE_FLAG[axis], _FIELD_FLAG.get(axis))
+        owners = [_flag(dest) for dest in dests if given.get(dest) is not None]
+        owners += ["--r-params"] if axis in (args.r_params or {}) else []
+        if axis in swept and sweep not in owners:
+            raise CliError(f"the swept axis {axis} needs {sweep}")
+        if axis not in swept and sweep in owners:
+            raise CliError(f"{sweep} cannot be set: {axis} is not swept")
+        if len(owners) > 1:
+            raise CliError(f"{owners[0]} and {owners[1]} both set {axis}; give one")
     # potential and separatrix leave --bx and --bz at None unless they are given
-    bx, bz = (getattr(args, flag, None) for flag in ("bx", "bz"))
-    for axis, flag in _FIELD_FLAG.items():
-        if axis in (args.r_params or {}) and getattr(args, flag, None) is not None:
-            raise CliError(f"--r-params cannot set {axis}: --{flag} sets it")
-    bx = 0.0 if bx is None else bx
-    bz = 0.0 if bz is None else bz
-    two_s = getattr(args, "two_s", None)
+    bx, bz = (0.0 if given.get(flag) is None else given[flag] for flag in ("bx", "bz"))
+    two_s = given.get("two_s")
     if compound is not None:
         if two_s is not None:
             raise CliError("--two-s cannot be set: the compound fixes 2S")
@@ -245,9 +249,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
     out = _out_path(args)
     if by != 0.0 and args.r_params is not None:
         raise CliError("--r-params only sets the .crossings sidecar, which needs --by 0")
-    for axis, owner in (("r1", "--bx sets it"), ("r2", "--bz-range sweeps it")):
-        if axis in (args.r_params or {}):
-            raise CliError(f"--r-params cannot set {axis}: {owner}")
+    # the sidecar's parameters are checked before anything is diagonalised
+    rp = _reduced_from_args(args, compound, ("r2",)) if by == 0.0 else None
 
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
@@ -266,8 +269,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
     script = writers.gnuplot_lines_script(out.name, dim, "energy levels")
     tables = [_Table(out, "spectrum", settings, columns, rows, script)]
 
-    if by == 0.0:
-        rp = _reduced_from_args(args, compound)
+    if rp is not None:
         sweep = sweep_crossings(rp, "r2", (lo, hi))
         cross_rows = [[kind, v] for kind, values in zip(KINDS, astuple(sweep)) for v in values]
         sidecar = out.with_name(out.stem + ".crossings" + out.suffix)
@@ -304,27 +306,13 @@ def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
 
 def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
     compound = _resolve_compound(args)
-    rp = _reduced_from_args(args, compound)
-    out = _out_path(args)
-
     names = [part.strip() for part in args.axes.split(",")]
     if len(names) != 2:
         raise CliError(f"--axes expects two comma-separated names, got {args.axes!r}")
     canon = [_canonical_axis(name) for name in names]
+    rp = _reduced_from_args(args, compound, canon)
+    out = _out_path(args)
     ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in canon]
-    for name, axis, window in zip(names, canon, ranges):
-        flag = "--" + _RANGE_FLAG[axis].replace("_", "-")
-        if window is None:
-            raise CliError(f"axis {name!r} needs {flag}")
-        if axis in (args.r_params or {}):
-            raise CliError(f"--r-params cannot set {axis}: the plane sweeps it over {flag}")
-        field = _FIELD_FLAG.get(axis)
-        if field is not None and getattr(args, field) is not None:
-            raise CliError(f"--{field} cannot be set: the plane sweeps it over {flag}")
-    for axis, dest in _RANGE_FLAG.items():
-        if axis not in canon and getattr(args, dest) is not None:
-            flag = "--" + dest.replace("_", "-")
-            raise CliError(f"{flag} cannot be set: --axes {args.axes} does not sweep {axis}")
     n1, n2 = args.grid
 
     plane = PlaneSpec(
@@ -356,68 +344,62 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
     return [_Table(out, "separatrix", settings, columns, rows, script)]
 
 
-# ------------------------------------------------------------- fidelity map
+# ------------------------------------------------------------ (bz, bx) maps
 
 
-def _grid_axes(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
+def _map_tables(
+    args: argparse.Namespace, command: str, column: str,
+    compute: Callable[[Compound, np.ndarray, np.ndarray], list[tuple]],
+) -> list[_Table]:
+    """One (bz, bx, column) table per map that compute returns.
+
+    compute(compound, bz, bx) returns (tag, settings, plot title,
+    values) for each map: the file is --out with the tag added to its
+    stem, and values[i, j] belongs to (bz[i], bx[j]).
+    """
+    compound = _require_compound(args)
+    out = _out_path(args)
     (z_lo, z_hi), (x_lo, x_hi), (n_z, n_x) = args.bz_range, args.bx_range, args.grid
-    meta = {
-        "bz_range": f"{z_lo!r}:{z_hi!r}",
-        "bx_range": f"{x_lo!r}:{x_hi!r}",
-        "grid": f"{n_z}x{n_x}",
-    }
-    return np.linspace(z_lo, z_hi, n_z), np.linspace(x_lo, x_hi, n_x), meta
-
-
-def _map_rows(bz: np.ndarray, bx: np.ndarray, values: np.ndarray) -> list[list[float]]:
-    return np.column_stack([np.tile(bz, bx.size), np.repeat(bx, bz.size), values.T.ravel()]).tolist()
+    bz, bx = np.linspace(z_lo, z_hi, n_z), np.linspace(x_lo, x_hi, n_x)
+    window = [
+        ("bz_range", f"{z_lo!r}:{z_hi!r}"),
+        ("bx_range", f"{x_lo!r}:{x_hi!r}"),
+        ("grid", f"{n_z}x{n_x}"),
+    ]
+    tables = []
+    for tag, settings, title, values in compute(compound, bz, bx):
+        path = out.with_name(f"{out.stem}{tag}{out.suffix}")
+        head = _compound_settings(compound) + [("by", repr(args.by)), *settings, *window]
+        rows = np.column_stack([np.tile(bz, n_x), np.repeat(bx, n_z), values.T.ravel()]).tolist()
+        script = writers.gnuplot_map_script(path.name, title)
+        tables.append(_Table(path, command, head, ["bz", "bx", column], rows, script))
+    return tables
 
 
 def _cmd_fidelity_map(args: argparse.Namespace) -> list[_Table]:
-    compound = _require_compound(args)
-    out = _out_path(args)
-    bz, bx, meta = _grid_axes(args)
-    d, by = args.d_increment, args.by
+    def compute(compound, bz, bx):
+        fmap = fidelity_map(
+            compound.system, compound.aniso, bz, bx, by=args.by, axis=args.scan_axis, d=args.d_increment
+        )
+        settings = [("scan_axis", args.scan_axis), ("d_increment", repr(args.d_increment))]
+        return [("", settings, "ground-state fidelity", fmap.values)]
 
-    fmap = fidelity_map(
-        compound.system, compound.aniso, bz, bx, by=by, axis=args.scan_axis, d=d
-    )
-    settings = _compound_settings(compound) + [
-        ("by", repr(by)),
-        ("scan_axis", args.scan_axis),
-        ("d_increment", repr(d)),
-        *meta.items(),
-    ]
-    rows = _map_rows(bz, bx, fmap.values)
-    script = writers.gnuplot_map_script(out.name, "ground-state fidelity")
-    return [_Table(out, "fidelity-map", settings, ["bz", "bx", "fidelity"], rows, script)]
-
-
-# ------------------------------------------------------------ heat capacity
+    return _map_tables(args, "fidelity-map", "fidelity", compute)
 
 
 def _cmd_heatcap_map(args: argparse.Namespace) -> list[_Table]:
-    compound = _require_compound(args)
-    out = _out_path(args)
-    bz, bx, meta = _grid_axes(args)
-    temps, by = args.temps, args.by
+    temps = args.temps
 
-    maps = heatcap_map(compound.system, compound.aniso, bz, bx, temps, by=by)
-    tables: list[_Table] = []
-    for t, values in zip(temps, maps):
-        if len(temps) == 1:
-            path = out
-        else:
-            path = out.with_name(f"{out.stem}-T{t!r}{out.suffix}")
-        settings = _compound_settings(compound) + [
-            ("by", repr(by)),
-            ("temperature", repr(float(t))),
-            *meta.items(),
+    def compute(compound, bz, bx):
+        maps = heatcap_map(compound.system, compound.aniso, bz, bx, temps, by=args.by)
+        # one temperature writes --out itself, several one file each
+        return [
+            ("" if len(temps) == 1 else f"-T{t!r}", [("temperature", repr(float(t)))],
+             f"heat capacity, T={t!r} K", values)
+            for t, values in zip(temps, maps)
         ]
-        rows = _map_rows(bz, bx, values)
-        script = writers.gnuplot_map_script(path.name, f"heat capacity, T={t!r} K")
-        tables.append(_Table(path, "heatcap-map", settings, ["bz", "bx", "heat_capacity"], rows, script))
-    return tables
+
+    return _map_tables(args, "heatcap-map", "heat_capacity", compute)
 
 
 # ---------------------------------------------------------------- compounds
@@ -434,52 +416,38 @@ def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
         return []
 
     fmt = "{:<12} {:>3} {:>9} {:>8} {:>12} {:>12} {:>8} {:>12}  {}"
-    print(fmt.format("id", "2S", "d/K", "e/K", "b40/K", "b42/K", "b43/K", "b44/K", "source"))
+    print(fmt.format("id", "2S", *(f"{f.name}/K" for f in fields(AnisotropyParams)), "source"))
     for c in catalog():
-        a = c.aniso
-        print(
-            fmt.format(
-                c.id,
-                c.system.two_s,
-                f"{a.d:g}",
-                f"{a.e:g}",
-                f"{a.b40:g}",
-                f"{a.b42:g}",
-                f"{a.b43:g}",
-                f"{a.b44:g}",
-                c.source,
-            )
-        )
+        print(fmt.format(c.id, c.system.two_s, *(f"{v:g}" for v in astuple(c.aniso)), c.source))
     return []
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_output_flags(p: argparse.ArgumentParser, out_required: bool = True) -> None:
-    p.add_argument("--out", required=out_required, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output file path (required except for the compounds listing)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    output.add_argument(
         "--plot-script",
         action="store_true",
-        help="also write a gnuplot script next to the output (same stem, .gp)",
+        help="also write a gnuplot script per csv file (its name with the --out suffix swapped for .gp)",
     )
-
-
-def _add_compound_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--compound", help="id of a built-in parameter set (see the compounds command)")
-    p.add_argument("--compound-file", help="path to a key=value parameter file")
-
-
-def _add_tesla_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--compound", help="id of a built-in parameter set (see the compounds command)")
+    source.add_argument("--compound-file", help="path to a key=value parameter file")
+    source.add_argument(
         "--tesla",
         action="store_true",
         help="field inputs are tesla instead of kelvin (times mu_B/k_B, about 0.6717 K/T)",
     )
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
+    window.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
+    window.add_argument("--grid", type=_grid, default="101", help="grid resolution N or NzxNx")
+    window.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinscape",
         description="Spin Hamiltonian spectra, semiclassical landscapes, and transition maps.",
@@ -490,72 +458,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    shared, maps = [source, output], [source, window, output]
 
-    p = sub.add_parser("spectrum", help="energy levels along an axial-field sweep")
-    _add_compound_flags(p)
+    p = sub.add_parser("spectrum", parents=shared, help="energy levels along an axial-field sweep")
     p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field (kelvin)")
     p.add_argument("--by", type=float, default=0.0, help="fixed transverse field (kelvin)")
     p.add_argument("--bz-range", type=_range, required=True, help="axial sweep window LO:HI")
     p.add_argument("--grid", type=_count, default="201", help="number of sweep points")
     p.add_argument("--r-params", type=_r_params, help="override reduced parameters for the sidecar (--by 0)")
-    _add_tesla_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("potential", help="reduced polar potential on a theta grid")
-    _add_compound_flags(p)
+    p = sub.add_parser("potential", parents=shared, help="reduced polar potential on a theta grid")
     p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
     p.add_argument("--bx", type=float, help="transverse field (kelvin, default 0)")
     p.add_argument("--bz", type=float, help="axial field (kelvin, default 0)")
     p.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
     p.add_argument("--grid", type=_count, default="721", help="number of theta samples on [0, pi]")
-    _add_tesla_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=_cmd_potential)
 
-    p = sub.add_parser("separatrix", help="transition curves in a two-parameter window")
-    _add_compound_flags(p)
+    p = sub.add_parser("separatrix", parents=shared, help="transition curves in a two-parameter window")
     p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
     p.add_argument("--axes", default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
     p.add_argument("--bx", type=float, help="fixed transverse field when bx is not swept (default 0)")
     p.add_argument("--bz", type=float, help="fixed axial field when bz is not swept (default 0)")
-    p.add_argument("--bz-range", type=_range, help="window for a swept bz axis, LO:HI")
-    p.add_argument("--bx-range", type=_range, help="window for a swept bx axis, LO:HI")
-    p.add_argument("--r3-range", type=_range, help="window for a swept r3 axis, LO:HI")
-    p.add_argument("--r4-range", type=_range, help="window for a swept r4 axis, LO:HI")
-    p.add_argument("--r5-range", type=_range, help="window for a swept r5 axis, LO:HI")
+    for dest in _RANGE_FLAG.values():
+        name = dest.removesuffix("_range")
+        p.add_argument(_flag(dest), type=_range, help=f"window for a swept {name} axis, LO:HI")
     p.add_argument("--r-params", type=_r_params, help="override fixed reduced parameters")
     p.add_argument("--grid", type=_grid, default="200", help="grid resolution N or N1xN2")
-    _add_tesla_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=_cmd_separatrix)
 
-    p = sub.add_parser("fidelity-map", help="ground-state fidelity on a (bz, bx) grid")
-    _add_compound_flags(p)
-    p.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
-    p.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
-    p.add_argument("--grid", type=_grid, default="101", help="grid resolution N or Nz x Nx (NzxNx)")
-    p.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
+    p = sub.add_parser("fidelity-map", parents=maps, help="ground-state fidelity on a (bz, bx) grid")
     p.add_argument("--scan-axis", choices=("bx", "by", "bz"), default="bz", help="fidelity increment axis")
     p.add_argument("--d-increment", type=float, default=0.001, help="half-step of the fidelity stencil")
-    _add_tesla_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=_cmd_fidelity_map)
 
-    p = sub.add_parser("heatcap-map", help="heat capacity on a (bz, bx) grid")
-    _add_compound_flags(p)
-    p.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
-    p.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
-    p.add_argument("--grid", type=_grid, default="101", help="grid resolution N or NzxNx")
-    p.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
+    p = sub.add_parser("heatcap-map", parents=maps, help="heat capacity on a (bz, bx) grid")
     p.add_argument("--temps", type=_temps, required=True, help="comma-separated temperatures in kelvin")
-    _add_tesla_flag(p)
-    _add_output_flags(p)
     p.set_defaults(handler=_cmd_heatcap_map)
 
-    p = sub.add_parser("compounds", help="list built-in parameter sets or export one")
+    p = sub.add_parser("compounds", parents=[output], help="list built-in parameter sets or export one")
     p.add_argument("--export", metavar="ID", help="write this compound as a key=value file")
-    _add_output_flags(p, out_required=False)
     p.set_defaults(handler=_cmd_compounds)
 
     return parser
@@ -574,12 +517,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is not None:
                 setattr(args, flag, _scaled(value, MU_B_OVER_KB))
     try:
+        if args.plot_script and args.format == "json":
+            raise CliError("--plot-script cannot be set: a gnuplot script reads csv, not --format json")
         # every table is computed before the first file is written
         for table in args.handler(args):
             head = [("tool", f"spinscape {__version__}"), ("command", table.command), *table.settings]
             writers.write_table(table.path, args.format, head, table.columns, table.rows)
             if args.plot_script and table.plot_script is not None:
-                table.path.with_suffix(".gp").write_text(table.plot_script, encoding="utf-8", newline="\n")
+                # each script is named after its own data file: --out hc with
+                # two temperatures writes hc-T0.05.gp and hc-T0.07.gp
+                script = table.path.name.removesuffix(Path(args.out).suffix) + ".gp"
+                table.path.with_name(script).write_text(table.plot_script, encoding="utf-8", newline="\n")
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

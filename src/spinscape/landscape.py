@@ -417,7 +417,7 @@ def potential_reduced(
     the r-parameters and offset come from ``reduce_params``.
     """
     coef = _coefficients(_r_row(rp)[None], rp.system)[0, _branch_index(branch)]
-    v = rp.offset + _basis(theta) @ coef
+    v = rp.offset + _series(coef, _basis(theta))
     if v.ndim == 0:
         return float(v)
     return v

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, all in-process via main()."""
 
+import argparse
 import json
 
 import numpy as np
@@ -172,12 +173,36 @@ def _failing_sweep(*args, **kwargs):
 
 
 _SPECTRUM = ["spectrum", "--compound", "3", "--bz-range", "0:1", "--grid", "3"]
-_SEPARATRIX = ["separatrix", "--compound", "3-trigonal", "--bz-range=-0.5:0.5", "--grid", "16"]
-# --bx and --r-params r1 both fix r1
-_FIELD_TWICE = [
-    ["potential", "--compound", "3", "--grid", "3", "--bx", "1", "--r-params", "r1=2"],
-    _SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--bx", "1", "--r-params", "r1=2"],
-]
+_PLANE = ["separatrix", "--compound", "3-trigonal", "--grid", "16"]
+_SEPARATRIX = _PLANE + ["--bz-range=-0.5:0.5"]
+# Every pair of flags that can both set one of r1..r5, as (argv, kept,
+# dropped): argv sets the parameter with both flags, and without the
+# dropped flag (and its value) the command runs with the kept one.
+_SET_TWICE = {
+    "potential": (["potential", "--compound", "3", "--grid", "3", "--bx", "1", "--r-params", "r1=2"],
+                  "--r-params", "--bx"),
+    "potential-bz": (["potential", "--grid", "3", "--bz", "1", "--r-params", "r2=2"], "--r-params", "--bz"),
+    "spectrum-bx": (_SPECTRUM + ["--bx", "1", "--r-params", "r1=2"], "--bx", "--r-params"),
+    "spectrum-bz-range": (_SPECTRUM + ["--r-params", "r2=2"], "--bz-range", "--r-params"),
+    "separatrix": (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--bx", "1", "--r-params", "r1=2"],
+                   "--r-params", "--bx"),
+    "separatrix-bz": (_PLANE + ["--axes", "bx,r3", "--bx-range", "0:1", "--r3-range", "0:1",
+                                "--bz", "1", "--r-params", "r2=2"], "--r-params", "--bz"),
+    "separatrix-bx-range-bx": (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bx", "1"],
+                               "--bx-range", "--bx"),
+    "separatrix-bz-range-bz": (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--bz", "1"],
+                               "--bz-range", "--bz"),
+    "separatrix-bx-range-r1": (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r-params", "r1=2"],
+                               "--bx-range", "--r-params"),
+    "separatrix-bz-range-r2": (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r-params", "r2=2"],
+                               "--bz-range", "--r-params"),
+    "separatrix-r3-range-r3": (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--r-params", "r3=2"],
+                               "--r3-range", "--r-params"),
+    "separatrix-r4-range-r4": (_SEPARATRIX + ["--axes", "bz,r4", "--r4-range", "0:0.001", "--r-params", "r4=2"],
+                               "--r4-range", "--r-params"),
+    "separatrix-r5-range-r5": (_SEPARATRIX + ["--axes", "r5,bz", "--r5-range", "0:0.01", "--r-params", "r5=2"],
+                               "--r5-range", "--r-params"),
+}
 
 
 @pytest.mark.parametrize(
@@ -195,8 +220,9 @@ _FIELD_TWICE = [
         (_SEPARATRIX + ["--axes", "bz,bx", "--bx-range", "0:1", "--r3-range", "0:1"], 2, None),
         (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1", "--two-s", "20"], 2, None),
         (["potential", "--compound", "3", "--grid", "5", "--two-s", "20"], 2, None),
-        (_FIELD_TWICE[0], 2, None),
-        (_FIELD_TWICE[1], 2, None),
+        (_SET_TWICE["potential"][0], 2, None),
+        (_SET_TWICE["separatrix"][0], 2, None),
+        (["potential", "--compound", "3", "--grid", "5", "--format", "json"], 2, None),
     ],
     ids=[
         "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
@@ -205,7 +231,7 @@ _FIELD_TWICE = [
         "separatrix-bz-sets-axis1", "separatrix-bx-sets-axis2",
         "separatrix-range-of-unswept-axis", "separatrix-two-s-with-compound",
         "potential-two-s-with-compound", "potential-bx-with-r-params-r1",
-        "separatrix-bx-with-r-params-r1",
+        "separatrix-bx-with-r-params-r1", "potential-plot-script-with-json",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -224,20 +250,26 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code
     assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
     if "--r-params" in argv and code == 2:
-        assert "--r-params" in capsys.readouterr().err
+        assert "--r-params" in err
+    if "--format" in argv:
+        assert "--format" in err and "--plot-script" in err
 
 
-@pytest.mark.parametrize("argv", _FIELD_TWICE, ids=["potential", "separatrix"])
-def test_a_fixed_field_set_twice_names_both_flags(tmp_path, capsys, argv):
-    # neither flag silently overrides the other; either one alone is taken
+@pytest.mark.parametrize("argv, kept, dropped", list(_SET_TWICE.values()), ids=list(_SET_TWICE))
+def test_a_fixed_field_set_twice_names_both_flags(tmp_path, capsys, argv, kept, dropped):
+    # neither flag silently overrides the other; the kept one alone is taken
     out = tmp_path / "f.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "--bx" in err and "--r-params" in err
-    i = argv.index("--bx")
+    assert kept in err and dropped in err
+    assert list(tmp_path.iterdir()) == []
+    i = argv.index(dropped)
     assert cli.main(argv[:i] + argv[i + 2:] + ["--out", str(out)]) == 0
-    assert "# r1: 2.0" in out.read_text().splitlines()
+    if kept == "--r-params":
+        axis = argv[argv.index("--r-params") + 1].partition("=")[0]
+        assert f"# {axis}: 2.0" in out.read_text().splitlines()
 
 
 def test_conflicting_compound_sources(tmp_path):
@@ -482,6 +514,44 @@ def test_plot_script_sidecar(tmp_path):
     gp = tmp_path / "v.gp"
     assert gp.exists()
     assert "v.csv" in gp.read_text()
+
+
+def test_plot_scripts_are_named_after_their_data_files(tmp_path):
+    # the --out suffix, not whatever follows the last dot, gives way to .gp
+    base = [
+        "heatcap-map", "--compound", "3-trigonal", "--bz-range=-0.1:0.4",
+        "--bx-range", "2.2:2.21", "--grid", "4x2", "--temps", "0.05,0.07", "--plot-script",
+    ]
+    assert cli.main(base + ["--out", str(tmp_path / "hc")]) == 0
+    assert cli.main(base + ["--out", str(tmp_path / "c.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c-T0.05.csv", "c-T0.05.gp", "c-T0.07.csv", "c-T0.07.gp",
+        "hc-T0.05", "hc-T0.05.gp", "hc-T0.07", "hc-T0.07.gp",
+    ]
+    for data, script, t in (("hc-T0.05", "hc-T0.05.gp", "0.05"), ("c-T0.07.csv", "c-T0.07.gp", "0.07")):
+        text = (tmp_path / script).read_text()
+        assert f"'{data}'" in text and f"T={t} K" in text
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()}
+    output = {"-h", "--help", "--out", "--format", "--plot-script"}
+    source = output | {"--compound", "--compound-file", "--tesla"}
+    window = source | {"--bz-range", "--bx-range", "--grid", "--by"}
+    assert options == {
+        "spectrum": source | {"--bx", "--by", "--bz-range", "--grid", "--r-params"},
+        "potential": source | {"--two-s", "--bx", "--bz", "--r-params", "--grid"},
+        "separatrix": source | {
+            "--two-s", "--axes", "--bx", "--bz", "--bz-range", "--bx-range",
+            "--r3-range", "--r4-range", "--r5-range", "--r-params", "--grid",
+        },
+        "fidelity-map": window | {"--scan-axis", "--d-increment"},
+        "heatcap-map": window | {"--temps"},
+        "compounds": output | {"--export"},
+    }
+    assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", "--version"}
 
 
 def test_version_flag(capsys):

@@ -237,6 +237,23 @@ def test_critical_values_match_array_potential():
             assert abs(p.value - potential_reduced(theta, rp, branch)) <= tol
 
 
+def test_critical_values_equal_the_potential_bit_for_bit():
+    # the kernel and potential_reduced add the same series the same way,
+    # so a phi = 0 point's value is the potential at its theta exactly
+    compound = lookup("3-trigonal")
+    rps = [
+        reduce_params(compound.system, compound.aniso, FieldVector(bx=float(bx), bz=float(bz)))
+        for bx in np.linspace(0.0, 3.0, 13) for bz in np.linspace(-0.5, 0.5, 9)
+    ]
+    values = [
+        (p.value, potential_reduced(p.theta, rp, 1))
+        for rp, report in zip(rps, landscapes(rps))
+        for p in report.points if p.theta <= math.pi
+    ]
+    assert len(values) == 126
+    assert [a for a, b in values if a != b] == []
+
+
 def test_critical_points_pure_quadratic():
     # the phi = 0 branch gives 0, pi/2 and pi, the phi = pi branch's
     # maximum at pi/2 is mirrored onto 3*pi/2
