@@ -32,6 +32,7 @@ given two owners exits 2 naming both flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -425,7 +426,14 @@ def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was: every default is immutable, and
+    ``main`` rescales --tesla fields in the Namespace, not here. Not
+    building it at import keeps it out of the start-up time.
+    """
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="output file path (required except for the compounds listing)")
     output.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")

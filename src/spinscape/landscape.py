@@ -168,10 +168,11 @@ def _r_row(rp: ReducedParams) -> npt.NDArray[np.float64]:
 
 
 def _left_to_right(terms: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """The sum over the last axis, added left to right as a scalar loop would."""
-    total = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        total = total + terms[..., j]
+    """The sum over the last axis (at least two terms), added left to right
+    as a scalar loop would."""
+    total = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        total += terms[..., j]
     return total
 
 
@@ -326,24 +327,37 @@ def _coefficients(r: npt.NDArray[np.float64], system: SpinSystem) -> npt.NDArray
 #: The harmonics k of the series, in the order of the coefficient tuple.
 _ORDERS = np.array([1.0, 2.0, 4.0])
 
+#: The term each coefficient of a derivative reads, (a_k, b_k) -> (b_k, a_k),
+#: and the factor it takes, (k, -k).
+_SWAPPED = np.array([1, 0, 3, 2, 5, 4])
+_SIGNED_ORDERS = np.array([1.0, -1.0, 2.0, -2.0, 4.0, -4.0])
+
+#: k**2 of each harmonic, the weights of the bound on |V'''| (see ``_isolate``).
+_SQUARES = _ORDERS ** 2
+
 
 def _derivative(coef: npt.ArrayLike) -> npt.NDArray[np.float64]:
     """Coefficients of the theta-derivative along the last axis:
     (a_k, b_k) -> k (b_k, -a_k).
 
-    k is a power of two, so the map is exact in floating point.
+    k is a power of two, so the map is exact in floating point, and
+    a_k * -k rounds like -a_k * k.
     """
-    c = np.asarray(coef, dtype=float)
-    d = np.empty_like(c)
-    d[..., 0::2] = c[..., 1::2] * _ORDERS
-    d[..., 1::2] = -c[..., 0::2] * _ORDERS
-    return d
+    return np.asarray(coef, dtype=float)[..., _SWAPPED] * _SIGNED_ORDERS
 
 
 def _basis(theta: npt.ArrayLike) -> npt.NDArray[np.float64]:
-    """(cos k theta, sin k theta) for k = 1, 2, 4 along a new last axis."""
+    """(cos k theta, sin k theta) for k = 1, 2, 4 along a new last axis.
+
+    Each angle k * theta is exact (k is a power of two); the cosines and
+    the sines are written straight into their columns.
+    """
     th = np.asarray(theta, dtype=float)
-    return np.stack([f(k * th) for k in (1.0, 2.0, 4.0) for f in (np.cos, np.sin)], axis=-1)
+    angle = np.multiply.outer(th, _ORDERS)
+    trig = np.empty(th.shape + (6,))
+    np.cos(angle, out=trig[..., 0::2])
+    np.sin(angle, out=trig[..., 1::2])
+    return trig
 
 
 def _series(coef: npt.NDArray[np.float64], trig: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -382,7 +396,8 @@ _SEARCHED = np.logical_or.reduce([
     (_COARSE_THETAS - shift < _OWNED[:, 1:]) & (_COARSE_HI - shift > _OWNED[:, :1])
     for shift in (0.0, 2.0 * math.pi)
 ])
-for _table in (_ORDERS, _COARSE_THETAS, _COARSE_HI, _COARSE_BASIS, _SEARCHED):
+for _table in (_ORDERS, _SWAPPED, _SIGNED_ORDERS, _SQUARES,
+               _COARSE_THETAS, _COARSE_HI, _COARSE_BASIS, _SEARCHED):
     _table.setflags(write=False)
 del _table
 
@@ -426,59 +441,68 @@ def potential_reduced(
 def _polish(
     lo: npt.NDArray[np.float64],
     hi: npt.NDArray[np.float64],
-    d1: npt.NDArray[np.float64],
-    d2: npt.NDArray[np.float64],
+    f_lo: npt.NDArray[np.float64],
+    slopes: npt.NDArray[np.float64],
     tol: npt.NDArray[np.float64],
 ) -> npt.NDArray[np.float64]:
-    """Newton iteration on the series d1 = V' in every bracket [lo, hi] at once.
+    """Newton iteration on V' in every bracket [lo, hi] at once.
 
-    Row i of d1 and d2 holds the coefficients of V' and V'' for bracket
+    slopes[i] is (2, 6): the coefficients of V' and of V'' for bracket
     i, whose V' changes sign between lo[i] and hi[i] or is exactly 0 at
-    lo[i]; such a lo[i] is the root, returned as it is. V'' supplies the
-    Newton slope from the same trig values. Each bracket is shrunk
-    around its sign change, and a Newton step that leaves the bracket
-    or meets a zero slope is replaced by plain bisection. A bracket
-    leaves the batch once |V'| <= tol[i] or it is narrower than 1e-15;
-    until then every element takes the same steps, in the same
-    floating-point operations, as a scalar loop over that bracket
-    alone, given that ``np.sin`` and ``np.cos`` round like ``math.sin``
-    and ``math.cos`` (a tier-1 test checks this platform property).
+    lo[i]. f_lo[i] is V' at lo[i], as ``_series`` gives it at
+    ``_basis(lo[i])``; where it is 0, lo[i] is the root, returned as it
+    is. V'' supplies the Newton slope from the same trig values. Each
+    bracket is shrunk around its sign change, and a Newton step that
+    leaves the bracket or meets a zero slope is replaced by plain
+    bisection. A bracket leaves the batch once |V'| <= tol[i] or it is
+    narrower than 1e-15; until then every element takes the same steps,
+    in the same floating-point operations, as a scalar loop over that
+    bracket alone, given that ``np.sin`` and ``np.cos`` round like
+    ``math.sin`` and ``math.cos`` (a tier-1 test checks this platform
+    property). A bracket that has left keeps iterating, masked, until
+    half the batch has left; then the batch is compacted.
 
     Raises:
         ConvergenceError: if some bracket reaches neither exit in
             ``_POLISH_ITERATIONS`` iterations.
     """
     root = np.array(lo, dtype=float)
-    f_lo = _series(d1, _basis(lo))
     idx = np.flatnonzero(f_lo != 0.0)
-    lo, hi, f_lo, d1, d2, tol = (a[idx] for a in (lo, hi, f_lo, d1, d2, tol))
+    lo, hi, slopes, tol = (a[idx] for a in (lo, hi, slopes, tol))
+    # V' has the sign it has at lo[i] at every lower end bracket i moves to
+    rising = f_lo[idx] > 0.0
     x = 0.5 * (lo + hi)
+    found = np.empty_like(x)
+    active = np.ones(idx.size, dtype=bool)
     for _ in range(_POLISH_ITERATIONS):
         if idx.size == 0:
             break
-        trig = _basis(x)
-        fx = _series(d1, trig)
+        fx, dfx = _series(slopes, _basis(x)[:, None, :]).T
         hit = np.abs(fx) <= tol
-        root[idx[hit]] = x[hit]
         # shrink each bracket around its sign change
-        same = (fx > 0.0) == (f_lo > 0.0)
+        same = (fx > 0.0) == rising
         lo = np.where(same, x, lo)
-        f_lo = np.where(same, fx, f_lo)
         hi = np.where(same, hi, x)
-        dfx = _series(d2, trig)
-        newton = dfx != 0.0
-        step = np.divide(fx, dfx, out=np.zeros_like(fx), where=newton)
-        candidate = np.where(newton, x - step, lo)  # lo forces bisection below
-        x = np.where((lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
-        closed = ~hit & (hi - lo < 1e-15)
-        root[idx[closed]] = x[closed]
-        keep = ~(hit | closed)
-        idx, lo, hi, f_lo, x, d1, d2, tol = (
-            a[keep] for a in (idx, lo, hi, f_lo, x, d1, d2, tol)
-        )
+        # a zero slope steps to NaN, which no bracket holds: it bisects
+        candidate = x - fx / np.where(dfx != 0.0, dfx, np.nan)
+        after = np.where((lo < candidate) & (candidate < hi), candidate, 0.5 * (lo + hi))
+        # the root is x at |V'| <= tol, else the next x once the bracket has closed
+        leaves = hit | (hi - lo < 1e-15)
+        np.copyto(found, np.where(hit, x, after), where=active & leaves)
+        active &= ~leaves
+        x = after
+        if 2 * np.count_nonzero(active) <= active.size:
+            done = ~active
+            root[idx[done]] = found[done]
+            idx, lo, hi, x, slopes, tol, rising, found = (
+                a[active] for a in (idx, lo, hi, x, slopes, tol, rising, found)
+            )
+            active = np.ones(idx.size, dtype=bool)
     if idx.size:
+        first = np.argmax(active)
         raise ConvergenceError(
-            f"stationary-point polish did not converge in [{float(lo[0])!r}, {float(hi[0])!r}]"
+            "stationary-point polish did not converge in "
+            f"[{float(lo[first])!r}, {float(hi[first])!r}]"
         )
     return root
 
@@ -493,15 +517,16 @@ def _root_free(
 
 
 def _isolate(
-    d1: npt.NDArray[np.float64], d2: npt.NDArray[np.float64],
-    scale: npt.NDArray[np.float64], kept: npt.NDArray[np.bool_],
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.float64], int]:
+    slopes: npt.NDArray[np.float64], scale: npt.NDArray[np.float64], kept: npt.NDArray[np.bool_],
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.float64],
+           npt.NDArray[np.float64], int]:
     """The roots of V' on every row, isolated by certified subdivision.
 
-    d1 and d2 are (rows, 6), the coefficients of V' and V''; scale is the
-    parameter scale of each row, and kept (rows, _COARSE_SAMPLES) marks
-    the coarse intervals searched on each row. M, the sum over k of
-    k**2 |(c_k, s_k)|, bounds |V'''|. So on an interval of width h:
+    slopes is (rows, 2, 6), the coefficients of V' and V'' of each row;
+    scale is the parameter scale of each row, and kept (rows,
+    _COARSE_SAMPLES) marks the coarse intervals searched on each row.
+    M, the sum over k of k**2 |(c_k, s_k)|, bounds |V'''|. So on an
+    interval of width h:
 
     * V' stays within M h**2 / 8 of its chord, and ends of one sign
       further than that from 0 hold no root;
@@ -517,15 +542,16 @@ def _isolate(
     signs, or whose lower end is an exact zero of V': that sample is a
     root, and ``_polish`` returns it unchanged. Every sample is the
     lower end of one interval of its level, so no zero is bracketed
-    twice. Returns the row, lower and upper end of every bracket, and
-    the number of open floor intervals. Rows whose V' is below
-    resolution everywhere (a flat potential) contribute nothing. Rows
-    are sampled in chunks of ``_SCAN_BYTES``, and only the intervals the
-    coarse tests leave open outlive their chunk.
+    twice. Returns the row, lower and upper end of every bracket and V'
+    at its lower end, and the number of open floor intervals. Rows whose
+    V' is below resolution everywhere (a flat potential) contribute
+    nothing. Rows are sampled in chunks of ``_SCAN_BYTES``, and only the
+    intervals the coarse tests leave open outlive their chunk.
     """
+    d1 = slopes[:, 0]
     # |V'| is at most the sum of the magnitudes of its coefficients
     kept = kept & (_left_to_right(np.abs(d1)) > 1e-12 * scale)[:, None]
-    bound = _left_to_right(np.hypot(d1[:, 0::2], d1[:, 1::2]) * _ORDERS ** 2)
+    bound = _left_to_right(np.hypot(d1[:, 0::2], d1[:, 1::2]) * _SQUARES)
     slack = _ROUNDING * bound
     width = 2.0 * math.pi / _COARSE_SAMPLES
 
@@ -535,7 +561,7 @@ def _isolate(
     for first in range(0, len(d1), step):
         part = slice(first, first + step)
         f_lo = _series(np.asfortranarray(d1[part])[:, None, :], _COARSE_BASIS)
-        f_hi = np.roll(f_lo, -1, axis=-1)  # the last interval wraps to 2*pi
+        f_hi = np.concatenate((f_lo[:, 1:], f_lo[:, :1]), axis=1)  # the last interval wraps to 2*pi
         closed = _root_free(f_lo, f_hi, bound[part, None], slack[part, None], width)
         row, k = np.nonzero(kept[part] & ~closed)
         open_row.append(row + first)
@@ -547,41 +573,40 @@ def _isolate(
     row, k = np.concatenate(open_row), np.concatenate(open_k)
     lo, hi = _COARSE_THETAS[k], _COARSE_HI[k]
     f_lo, f_hi = np.concatenate(open_lo), np.concatenate(open_hi)
-    bracket_row, bracket_lo, bracket_hi = [], [], []
+    bracket_row, bracket_lo, bracket_hi, bracket_f = [], [], [], []
+    uncertified = 0
     for level in range(_HALVINGS + 1):
         mid = 0.5 * (lo + hi)
-        trig = _basis(mid)
+        f_mid, curvature = _series(slopes[row], _basis(mid)[:, None, :]).T
         zero_end = (f_lo == 0.0) | (f_hi == 0.0)
-        change = ~zero_end & ((f_lo > 0.0) != (f_hi > 0.0))
-        tested = np.flatnonzero(change | zero_end)
-        at = row[tested]
-        monotone = np.zeros(row.size, dtype=bool)
-        monotone[tested] = (
-            np.abs(_series(d2[at], trig[tested])) > bound[at] * (0.5 * width) + slack[at]
+        flips = (f_lo > 0.0) != (f_hi > 0.0)
+        change = flips & ~zero_end
+        monotone = (flips | zero_end) & (
+            np.abs(curvature) > bound[row] * (0.5 * width) + slack[row]
         )
         last = level == _HALVINGS
         found = (change | (f_lo == 0.0)) & (monotone | last)
         bracket_row.append(row[found])
         bracket_lo.append(lo[found])
         bracket_hi.append(hi[found])
+        bracket_f.append(f_lo[found])
         if last:
+            uncertified = int(np.count_nonzero(~monotone))
             break
-        split = ~monotone
-        row, lo, hi, f_lo, f_hi, mid, trig = (
-            a[split] for a in (row, lo, hi, f_lo, f_hi, mid, trig)
-        )
-        if not row.size:
-            break
-        f_mid = _series(d1[row], trig)
-        row = np.concatenate([row, row])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        f_lo, f_hi = np.concatenate([f_lo, f_mid]), np.concatenate([f_mid, f_hi])
+        # halve every interval; drop the halves of a monotone one and
+        # those the root-free test closes
+        row = np.concatenate((row, row))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
         width *= 0.5
         closed = _root_free(f_lo, f_hi, bound[row], slack[row], width)
-        row, lo, hi, f_lo, f_hi = (a[~closed] for a in (row, lo, hi, f_lo, f_hi))
+        settled = np.concatenate((monotone, monotone))
+        row, lo, hi, f_lo, f_hi = (a[~(settled | closed)] for a in (row, lo, hi, f_lo, f_hi))
+        if not row.size:
+            break
     return (
         np.concatenate(bracket_row), np.concatenate(bracket_lo), np.concatenate(bracket_hi),
-        int(np.count_nonzero(~monotone)),
+        np.concatenate(bracket_f), uncertified,
     )
 
 
@@ -600,13 +625,17 @@ def _distinct(row: npt.NDArray[np.intp], theta: npt.NDArray[np.float64]) -> npt.
     previous root, so only rows that hold such a close pair are walked
     root by root.
     """
-    two_pi = 2.0 * math.pi
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    last = np.flatnonzero(np.diff(row, append=row[-1:] + 1))
-    close = np.flatnonzero((row[1:] == row[:-1]) & (np.diff(theta) < MERGE_TOL))
-    wraps = (last > first) & (two_pi - theta[last] + theta[first] < MERGE_TOL)
     keep = np.ones(row.size, dtype=bool)
-    for k in np.union1d(np.searchsorted(first, close, side="right") - 1, np.flatnonzero(wraps)):
+    if not row.size:
+        return keep
+    two_pi = 2.0 * math.pi
+    # boundary[i] marks a new row at root i, and boundary[i + 1] the last root of a row
+    boundary = np.concatenate(([True], row[1:] != row[:-1], [True]))
+    first, last = boundary[:-1].nonzero()[0], boundary[1:].nonzero()[0]
+    close = ((theta[1:] - theta[:-1] < MERGE_TOL) & ~boundary[1:-1]).nonzero()[0]
+    walk = (last > first) & (two_pi - theta[last] + theta[first] < MERGE_TOL)
+    walk[np.searchsorted(first, close, side="right") - 1] = True
+    for k in walk.nonzero()[0]:
         kept = [first[k]]
         for i in range(first[k] + 1, last[k] + 1):
             if theta[i] - theta[kept[-1]] < MERGE_TOL:
@@ -642,11 +671,15 @@ def _stationary(
     together.
     """
     n_nodes = len(coef)
-    d1 = _derivative(coef).reshape(2 * n_nodes, 6)
-    d2 = _derivative(d1)
+    # the coefficients of V, V' and V'' on every row, one node and branch
+    coefs = np.empty((2 * n_nodes, 3, 6))
+    coefs[:, 0] = coef.reshape(-1, 6)
+    coefs[:, 1] = _derivative(coefs[:, 0])
+    coefs[:, 2] = _derivative(coefs[:, 1])
+    slopes = coefs[:, 1:]
     row_scale = np.repeat(scale, 2)
-    row, lo, hi, uncertified = _isolate(d1, d2, row_scale, np.tile(_SEARCHED, (n_nodes, 1)))
-    theta = _polish(lo, hi, d1[row], d2[row], 1e-12 * row_scale[row]) % (2.0 * math.pi)
+    row, lo, hi, f_lo, uncertified = _isolate(slopes, row_scale, np.tile(_SEARCHED, (n_nodes, 1)))
+    theta = _polish(lo, hi, f_lo, slopes[row], 1e-12 * row_scale[row]) % (2.0 * math.pi)
     order = np.lexsort((theta, row))
     row, theta = row[order], theta[order]
     keep = _distinct(row, theta)
@@ -666,9 +699,8 @@ def _stationary(
     at = at[np.lexsort((on_circle[at], node[at]))]
     row, node = row[at], node[at]
 
-    trig = _basis(theta[at])
-    curvature = _series(d2[row], trig)
-    value = offset[node] + _series(coef.reshape(-1, 6)[row], trig)
+    value, curvature = _series(coefs[row, 0::2], _basis(theta[at])[:, None, :]).T
+    value = offset[node] + value
     tol_flat = 1e-9 * scale[node]
     kind = np.where(curvature > tol_flat, _MINIMUM, np.where(curvature < -tol_flat, _MAXIMUM, 0))
     return degenerate, node, on_circle[at], value, curvature, kind, uncertified
@@ -692,20 +724,22 @@ class _Summary(NamedTuple):
 
 
 def _lowest_two(
-    node: npt.NDArray[np.intp], key: npt.NDArray[np.float64], of: npt.NDArray[np.bool_], n: int,
+    group: npt.NDArray[np.intp], key: npt.NDArray[np.float64], of: npt.NDArray[np.bool_], n: int,
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-    """Each node's count of the points marked by of, and its two lowest by key.
+    """Each group's count of the points marked by of, and its two lowest by key.
 
-    node and key hold one entry per point, ordered by node and then
-    theta, as ``_stationary`` returns them. Returns the count of every
-    node, (n,), and the indices of its lowest and second-lowest point,
-    (n, 2), -1 where it has fewer. lexsort is stable, so of equal keys
-    the lower theta ranks first.
+    group and key hold one entry per point, a group number in [0, n)
+    and a key; within a group the points are in theta order, as in a
+    node of ``_stationary``. Returns the count of every group, (n,), and
+    the indices of its lowest and second-lowest point, (n, 2), -1 where
+    it has fewer. lexsort is stable, so of equal keys the lower theta
+    ranks first.
     """
-    at = np.flatnonzero(of)
-    at = at[np.lexsort((key[at], node[at]))]
-    counts = np.bincount(node[at], minlength=n)
-    start = np.searchsorted(node[at], np.arange(n))
+    at = of.nonzero()[0]
+    group = group[at]
+    at = at[np.lexsort((key[at], group))]
+    counts = np.bincount(group, minlength=n)
+    start = np.cumsum(counts) - counts
     ranked = np.full((n, 2), -1)
     for j in range(2):
         has = counts > j
@@ -723,16 +757,18 @@ def _summaries(r: npt.NDArray[np.float64], system: SpinSystem, offset: float) ->
     degenerate, node, theta, value, _, kind, _ = _stationary(
         _coefficients(r, system), np.full(n, offset), _scales(r, system)
     )
-    counts = np.zeros((n, 2), dtype=np.intp)
+    # group 2i ranks the minima of node i by value, group 2i + 1 its maxima by -value
+    maximum = kind == _MAXIMUM
+    key = np.where(maximum, -value, value)
+    counts, ranked = _lowest_two(2 * node + maximum, key, kind != 0, 2 * n)
+    counts, ranked = counts.reshape(n, 2), ranked.reshape(n, 2, 2)
+    has = counts >= 2
+    pair = ranked[has]
+    swap = theta[pair[:, 0]] > theta[pair[:, 1]]  # the pair in theta order
+    pair[swap] = pair[swap, ::-1]
     pair_theta = np.zeros((n, 2, 2))
     pair_value = np.zeros((n, 2, 2))
-    for p, (code, key) in enumerate(((_MINIMUM, value), (_MAXIMUM, -value))):
-        counts[:, p], ranked = _lowest_two(node, key, kind == code, n)
-        has = counts[:, p] >= 2
-        pair = ranked[has]
-        swap = theta[pair[:, 0]] > theta[pair[:, 1]]  # the pair in theta order
-        pair[swap] = pair[swap, ::-1]
-        pair_theta[has, p], pair_value[has, p] = theta[pair], value[pair]
+    pair_theta[has], pair_value[has] = theta[pair], value[pair]
     return _Summary(degenerate, counts, pair_theta, pair_value, counts < 2)
 
 

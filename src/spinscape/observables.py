@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .eig import Spectrum, eigh_stack
-from .spin import AnisotropyParams, FieldVector, SpinSystem, build_hamiltonians
+from .spin import AnisotropyParams, FieldVector, SpinSystem, _assemble, _field_free_terms
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,18 @@ def spectra(
     at that point alone; points with by = 0 are solved in real arithmetic.
     With ``vectors=False`` the ground vector is None and the levels equal
     ``eigh_stack(build_hamiltonian(...), vectors=False)``, which may differ
-    from eigh's in the last bits."""
+    from eigh's in the last bits. The field-free terms of H are built once
+    per call, and every stack is assembled from them."""
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
     ground = np.empty((n, dim), dtype=np.complex128) if vectors else None
     itemsize = 16 if vectors or np.any(by) else 8
     step = max(1, _STACK_BYTES // (itemsize * dim * dim))
+    terms = _field_free_terms(system, aniso)
     for lo in range(0, n, step):
         part = slice(lo, lo + step)
-        h = build_hamiltonians(system, aniso, bx.flat[part], by.flat[part], bz.flat[part])
+        h = _assemble(terms, bx.flat[part], by.flat[part], bz.flat[part])
         levels[part], v = eigh_stack(h, vectors=vectors)
         if vectors:
             ground[part] = v[..., 0]

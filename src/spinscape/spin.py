@@ -230,22 +230,52 @@ def build_hamiltonians(
     last bit whatever stack it is built in. The stack is real (float64)
     when by is zero at every point and complex128 otherwise; a complex
     stack's real part equals the real stack built with by = 0."""
-    bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
-    mats = spin_matrices(system)
-    dim = system.dim
+    return _assemble(_field_free_terms(system, aniso), bx, by, bz)
 
+
+class _Terms(NamedTuple):
+    """The field-free terms of H, each a (2S+1) x (2S+1) matrix, and the
+    spin matrices the field terms multiply."""
+
+    mats: SpinMatrices
+    axial: npt.NDArray[np.float64]  # d Sz^2
+    rhombic: npt.NDArray[np.float64]  # e (Sx^2 - Sy^2)
+    quartic: tuple[npt.NDArray[np.float64], ...]  # b4k O_4^k of each nonzero b4k, k ascending
+
+
+def _field_free_terms(system: SpinSystem, aniso: AnisotropyParams) -> _Terms:
+    """The terms of H that no field changes, built once for any number of stacks."""
+    mats = spin_matrices(system)
     sx2 = mats.sx @ mats.sx
     y = (mats.plus - mats.minus) / 2.0  # Sy = -i * y
     sy2 = -(y @ y)
+    quartic = tuple(
+        coeff * _stevens_o4(system, mats, k)
+        for k, coeff in zip(STEVENS_RANKS, (aniso.b40, aniso.b42, aniso.b43, aniso.b44))
+        if coeff
+    )
+    return _Terms(mats, aniso.d * mats.sz @ mats.sz, aniso.e * (sx2 - sy2), quartic)
 
+
+def _assemble(
+    terms: _Terms, bx: npt.ArrayLike, by: npt.ArrayLike, bz: npt.ArrayLike,
+) -> npt.NDArray[np.float64] | npt.NDArray[np.complex128]:
+    """The stack of :func:`build_hamiltonians` from its field-free terms.
+
+    The terms are added in the order H lists them, quadratic, field and
+    then quartic, so each matrix sees the same additions whatever stack
+    it is in and whenever its terms were built.
+    """
+    bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
+    mats = terms.mats
+    dim = mats.sz.shape[0]
     real = np.zeros(bx.shape + (dim, dim))
-    real += aniso.d * mats.sz @ mats.sz
-    real += aniso.e * (sx2 - sy2)
+    real += terms.axial
+    real += terms.rhombic
     real += (G_FACTOR * bx)[..., None, None] * mats.sx
     real += (G_FACTOR * bz)[..., None, None] * mats.sz
-    for k, coeff in zip(STEVENS_RANKS, (aniso.b40, aniso.b42, aniso.b43, aniso.b44)):
-        if coeff:
-            real += coeff * _stevens_o4(system, mats, k)
+    for term in terms.quartic:
+        real += term
 
     if not np.any(by):
         return real

@@ -504,6 +504,26 @@ def test_tesla_rescales_fields(tmp_path):
             assert "bifurcation" in crossings and "maxwell_minima" in crossings
 
 
+def test_one_parser_serves_every_job(tmp_path):
+    # The parser is built once per process. --tesla rescales the default
+    # --d-increment too, in the Namespace only: a plain job after a tesla
+    # job and a failed parse must write what it writes on a new parser.
+    assert cli.build_parser() is cli.build_parser()
+    plain = [
+        "fidelity-map", "--compound", "3-trigonal",
+        "--bz-range", "0.13:0.15", "--bx-range", "2.2:2.21", "--grid", "3x2",
+    ]
+    cli.build_parser.cache_clear()
+    assert cli.main(plain + ["--out", str(tmp_path / "first.csv")]) == 0
+    assert cli.main(plain + ["--tesla", "--out", str(tmp_path / "tesla.csv")]) == 0
+    assert cli.main(plain + ["--no-such-flag", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert cli.main(plain + ["--out", str(tmp_path / "last.csv")]) == 0
+    assert not (tmp_path / "bad.csv").exists()
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "last.csv").read_bytes() == first
+    assert (tmp_path / "tesla.csv").read_bytes() != first
+
+
 def test_plot_script_sidecar(tmp_path):
     out = tmp_path / "v.csv"
     code = cli.main([

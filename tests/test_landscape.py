@@ -634,6 +634,12 @@ def test_mirrored_minima_have_bit_equal_values(r3, r4):
     assert report.global_minimum == min(tied, key=lambda p: p.theta)
 
 
+def _polish(lo, hi, d1, tol):
+    """``_ls._polish`` on the brackets [lo, hi] of the series V' with coefficients d1."""
+    f_lo = _ls._series(d1, _ls._basis(lo))
+    return _ls._polish(lo, hi, f_lo, np.stack((d1, _ls._derivative(d1)), axis=1), tol)
+
+
 def test_polish_returns_an_exact_zero_at_the_lower_end_unchanged():
     # _isolate brackets an exact zero of V' as the lower end of an
     # interval. V' = sin(theta - t) is exactly 0 at t, where its two
@@ -643,7 +649,7 @@ def test_polish_returns_an_exact_zero_at_the_lower_end_unchanged():
     lo = np.array([0.7, 2.9])
     sine = np.array([[-math.sin(t), math.cos(t), 0.0, 0.0, 0.0, 0.0] for t in lo.tolist()])
     assert np.all(_ls._series(sine, _ls._basis(lo)) == 0.0)
-    roots = _ls._polish(lo, lo + 0.5, sine, _ls._derivative(sine), np.full(2, -1.0))
+    roots = _polish(lo, lo + 0.5, sine, np.full(2, -1.0))
     assert roots.tobytes() == lo.tobytes()
 
 
@@ -657,9 +663,47 @@ def test_polish_root_raises_when_iterations_run_out():
     lo, hi = np.array([3.0, 6.0, 9.0]), np.array([3.5, 6.5, 9.5])
     tol = np.array([1e-12, 1e-12, -1.0])
     with pytest.raises(ConvergenceError, match=r"did not converge in \[9\.42"):
-        _ls._polish(lo, hi, sine, _ls._derivative(sine), tol)
-    roots = _ls._polish(lo[:2], hi[:2], sine[:2], _ls._derivative(sine[:2]), tol[:2])
+        _polish(lo, hi, sine, tol)
+    roots = _polish(lo[:2], hi[:2], sine[:2], tol[:2])
     assert np.all(np.abs(roots - [math.pi, 2.0 * math.pi]) < 1e-12)
+
+
+def test_polish_brackets_leaving_at_different_iterations_keep_their_roots(monkeypatch):
+    # V' = sin(theta - t) on four brackets that leave the batch at four
+    # different iterations: an exact zero at the lower end (before the
+    # first), one Newton step from a midpoint 1e-5 off the root (the
+    # second), a midpoint whose Newton step leaves the bracket, so it
+    # bisects (the sixth), and a negative tolerance, so only the 1e-15
+    # width exit ends it (the 21st). The batch masks the brackets that
+    # have left and compacts once half have; every root must equal the
+    # one its bracket gets alone, whatever the order of the batch.
+    t = np.array([0.7, 1.1, 2.0, 1.3])
+    lo = np.array([0.7, 0.6, 1.9, 1.05])
+    hi = np.array([1.2, 1.1 + 0.5 + 2e-5, 5.0, 1.8])
+    tol = np.array([1e-12, 1e-12, 1e-12, -1.0])
+    sine = np.array([[-math.sin(v), math.cos(v), 0.0, 0.0, 0.0, 0.0] for v in t.tolist()])
+    assert _ls._series(sine[0], _ls._basis(lo[0])) == 0.0
+    mid = 0.5 * (lo[2] + hi[2])
+    assert not lo[2] < mid - math.tan(mid - t[2]) < hi[2]  # the first Newton step leaves
+
+    iterations = []
+    basis = _ls._basis
+
+    def counting_basis(theta):
+        iterations[-1] += 1
+        return basis(theta)
+
+    monkeypatch.setattr(_ls, "_basis", counting_basis)
+    alone = []
+    for i in range(4):
+        iterations.append(-1)  # the first call samples the lower ends
+        alone.append(_polish(lo[i:i + 1], hi[i:i + 1], sine[i:i + 1], tol[i:i + 1]))
+    assert iterations == [0, 2, 6, 21]
+    alone = np.concatenate(alone)
+    assert np.all(np.abs(alone - t) < 1e-15)
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2, 2, 1, 3, 0]):
+        roots = _polish(lo[order], hi[order], sine[order], tol[order])
+        assert roots.tobytes() == alone[order].tobytes(), order
 
 
 def test_array_trig_rounds_like_math():
@@ -667,11 +711,15 @@ def test_array_trig_rounds_like_math():
     # np.cos and np.sin round every float64 angle k*theta exactly as
     # math.cos and math.sin do; some vectorised math libraries differ in
     # the last bit.
+    # _basis writes them into strided columns of one array, so both
+    # layouts are checked.
     theta = np.random.default_rng(314).uniform(0.0, 2.0 * math.pi, 20000)
-    for k in (1.0, 2.0, 4.0):
+    trig = _ls._basis(theta)
+    for i, k in enumerate((1.0, 2.0, 4.0)):
         x = k * theta
-        for array_f, scalar_f in ((np.cos, math.cos), (np.sin, math.sin)):
+        for j, (array_f, scalar_f) in enumerate(((np.cos, math.cos), (np.sin, math.sin))):
             scalar = np.array([scalar_f(v) for v in x.tolist()])
+            assert np.array_equal(trig[:, 2 * i + j], scalar), (array_f.__name__, k)
             differ = np.flatnonzero(array_f(x) != scalar)
             assert differ.size == 0, (
                 f"np.{array_f.__name__} differs from math.{scalar_f.__name__} at "

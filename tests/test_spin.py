@@ -10,6 +10,7 @@ from spinscape import (
     FieldVector,
     SpinSystem,
     build_hamiltonian,
+    observables,
     spin,
     spin_matrices,
     stevens_o4,
@@ -219,6 +220,11 @@ def test_spin_matrices_built_once_per_assembly(monkeypatch):
     calls.clear()
     stevens_o4(SpinSystem(10), 0)
     assert calls == []
+    # spectra builds the field-free terms once for all of its stacks
+    points = 400
+    assert points > 2 * (observables._STACK_BYTES // (16 * 11 * 11))  # three stacks
+    observables.spectra(SpinSystem(10), aniso, np.zeros(points), 0.0, np.linspace(0.0, 1.0, points))
+    assert calls == [10]
 
 
 def test_hamiltonian_stack_is_real_exactly_when_by_vanishes():
