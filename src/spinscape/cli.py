@@ -43,9 +43,9 @@ import numpy as np
 from . import __version__
 from .compounds import Compound, catalog, dump_compound, load_compound, lookup
 from .eig import ConvergenceError
-from .landscape import _R_NAMES, ReducedParams, potential_reduced, reduce_params
+from .landscape import _ALIASES, _R_NAMES, ReducedParams, _column, potential_reduced, reduce_params
 from .observables import fidelity_map, heatcap_map, spectra
-from .separatrix import KINDS, PlaneSpec, _canonical_axis, classify_cell_edges, sweep_crossings
+from .separatrix import KINDS, PlaneSpec, _checked_range, classify_cell_edges, sweep_crossings
 from .spin import MU_B_OVER_KB, AnisotropyParams, FieldVector, SpinSystem
 from . import writers
 
@@ -53,11 +53,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-#: range flag that feeds each canonical axis
-_RANGE_FLAG = {"r1": "bx_range", "r2": "bz_range", "r3": "r3_range", "r4": "r4_range", "r5": "r5_range"}
-
 #: fixed-field flag that sets each field axis when it is not swept
-_FIELD_FLAG = {"r1": "bx", "r2": "bz"}
+_FIELD_FLAG = {axis: name for name, axis in _ALIASES.items()}
+
+#: range flag that feeds each axis, named as the axis is on the command line
+_RANGE_FLAG = {axis: _FIELD_FLAG.get(axis, axis) + "_range" for axis in _R_NAMES}
 
 #: flags holding a field, a field window or a field increment, which --tesla converts
 _FIELD_FLAGS = ("bx", "by", "bz", "bz_range", "bx_range", "d_increment")
@@ -86,14 +86,9 @@ def _range(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return _checked_range((float(parts[0]), float(parts[1])))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise argparse.ArgumentTypeError(f"bounds must be finite, got {text!r}")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"needs LO < HI, got {text!r}")
-    return lo, hi
 
 
 def _count(text: str) -> int:
@@ -129,6 +124,22 @@ def _temps(text: str) -> tuple[float, ...]:
     return temps
 
 
+def _axis(text: str) -> str:
+    """The r-parameter r1..r5 that the axis name text selects."""
+    try:
+        return _R_NAMES[_column(text)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _axes(text: str) -> list[tuple[str, str]]:
+    """Each of the two names in text, with the r-parameter it selects."""
+    names = [part.strip() for part in text.split(",")]
+    if len(names) != 2:
+        raise argparse.ArgumentTypeError(f"expects two comma-separated names, got {text!r}")
+    return [(name, _axis(name)) for name in names]
+
+
 def _r_params(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for chunk in text.split(","):
@@ -137,10 +148,7 @@ def _r_params(text: str) -> dict[str, float]:
         key, sep, value = chunk.partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"entries look like key=value, got {chunk!r}")
-        try:
-            name = _canonical_axis(key.strip())
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        name = _axis(key.strip())
         if name in out:
             raise argparse.ArgumentTypeError(f"sets {name} twice")
         try:
@@ -226,15 +234,13 @@ def _reduced_from_args(
         if len(owners) > 1:
             raise CliError(f"{owners[0]} and {owners[1]} both set {axis}; give one")
     # potential and separatrix leave --bx and --bz at None unless they are given
-    bx, bz = (0.0 if given.get(flag) is None else given[flag] for flag in ("bx", "bz"))
+    field = FieldVector(**{flag: given[flag] for flag in _FIELD_FLAG.values() if given.get(flag) is not None})
     two_s = given.get("two_s")
-    if compound is not None:
-        if two_s is not None:
-            raise CliError("--two-s cannot be set: the compound fixes 2S")
-        rp = reduce_params(compound.system, compound.aniso, FieldVector(bx=bx, bz=bz))
-    else:
-        system = SpinSystem(10 if two_s is None else two_s)
-        rp = ReducedParams(r1=bx, r2=bz, r3=0.0, r4=0.0, r5=0.0, system=system)
+    if compound is not None and two_s is not None:
+        raise CliError("--two-s cannot be set: the compound fixes 2S")
+    # without a compound, 2S is --two-s (10 by default) and the anisotropy is zero
+    system = compound.system if compound else SpinSystem(10 if two_s is None else two_s)
+    rp = reduce_params(system, compound.aniso if compound else AnisotropyParams(), field)
     if args.r_params is not None:
         rp = replace(rp, **args.r_params)
     return rp
@@ -307,18 +313,15 @@ def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
 
 def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
     compound = _resolve_compound(args)
-    names = [part.strip() for part in args.axes.split(",")]
-    if len(names) != 2:
-        raise CliError(f"--axes expects two comma-separated names, got {args.axes!r}")
-    canon = [_canonical_axis(name) for name in names]
-    rp = _reduced_from_args(args, compound, canon)
+    names, swept = zip(*args.axes)
+    rp = _reduced_from_args(args, compound, swept)
     out = _out_path(args)
-    ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in canon]
+    ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in swept]
     n1, n2 = args.grid
 
     plane = PlaneSpec(
-        axis1=canon[0],
-        axis2=canon[1],
+        axis1=swept[0],
+        axis2=swept[1],
         range1=ranges[0],
         range2=ranges[1],
         resolution=(n1, n2),
@@ -407,6 +410,10 @@ def _cmd_heatcap_map(args: argparse.Namespace) -> list[_Table]:
 
 
 def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
+    for flag, given in (("--format", args.format != "csv"), ("--plot-script", args.plot_script),
+                        ("--out", args.out is not None and not args.export)):
+        if given:
+            raise CliError(f"{flag} cannot be set: --export writes key=value text; the listing prints")
     if args.export:
         try:
             compound = lookup(args.export)
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separatrix", parents=shared, help="transition curves in a two-parameter window")
     p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
-    p.add_argument("--axes", default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
+    p.add_argument("--axes", type=_axes, default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
     p.add_argument("--bx", type=float, help="fixed transverse field when bx is not swept (default 0)")
     p.add_argument("--bz", type=float, help="fixed axial field when bz is not swept (default 0)")
     for dest in _RANGE_FLAG.values():
@@ -497,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_separatrix)
 
     p = sub.add_parser("fidelity-map", parents=maps, help="ground-state fidelity on a (bz, bx) grid")
-    p.add_argument("--scan-axis", choices=("bx", "by", "bz"), default="bz", help="fidelity increment axis")
+    components = [f.name for f in fields(FieldVector)]
+    p.add_argument("--scan-axis", choices=components, default="bz", help="fidelity increment axis")
     p.add_argument("--d-increment", type=float, default=0.001, help="half-step of the fidelity stencil")
     p.set_defaults(handler=_cmd_fidelity_map)
 

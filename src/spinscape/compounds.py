@@ -12,7 +12,7 @@ b40, b42, b43, b44 and comment.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .spin import AnisotropyParams, SpinSystem
 
@@ -101,7 +101,7 @@ def lookup(compound_id: str) -> Compound:
     raise KeyError(f"unknown compound {compound_id!r}{hint}")
 
 
-_NUMERIC_KEYS = ("d", "e", "b40", "b42", "b43", "b44")
+_NUMERIC_KEYS = tuple(f.name for f in fields(AnisotropyParams))
 _ALL_KEYS = ("id", "two_s") + _NUMERIC_KEYS + ("comment",)
 
 

@@ -37,11 +37,13 @@ or as holding exactly one root; intervals neither test settles are
 halved down to a floor width, and those still open there are counted.
 
 The separatrix layer builds no reports. Its nodes and probes travel as
-one (n, 5) array of r1..r5 beside the SpinSystem and offset they share,
-and ``_summaries`` reduces the kernel's per-point arrays, by array
-operations, to the landscape summary edge classification reads: each
-node's flat flag, its counts of minima and maxima, and its two lowest
-minima and two highest maxima.
+one (n, 5) array of r1..r5 beside the SpinSystem and offset they share.
+Its columns are named here only: ``_R_NAMES``, with the aliases bx and
+bz for r1 and r2, and ``_column`` reads any axis name the separatrix
+layer or the CLI takes. ``_summaries`` reduces the kernel's per-point
+arrays, by array operations, to the landscape summary edge
+classification reads: each node's flat flag, its counts of minima and
+maxima, and its two lowest minima and two highest maxima.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ from .spin import (
     AnisotropyParams,
     FieldVector,
     SpinSystem,
+    _finite_fields,
     build_hamiltonian,
 )
 
@@ -103,11 +106,7 @@ class ReducedParams:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r2", "r3", "r4", "r5", "offset"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, (*_R_NAMES, "offset"))
         if not isinstance(self.system, SpinSystem):
             raise ValueError("system must be a SpinSystem")
 
@@ -160,6 +159,17 @@ def _branch_index(branch: int) -> int:
 #: node k. The nodes of a plane or a sweep share one SpinSystem and one
 #: offset, which travel beside the array.
 _R_NAMES = ("r1", "r2", "r3", "r4", "r5")
+
+#: Axis names that select an r-column by the field component it holds,
+#: as ``reduce_params`` maps them.
+_ALIASES = {"bx": "r1", "bz": "r2"}
+
+
+def _column(name: str) -> int:
+    """The r-array column an axis name selects: r1..r5, or an alias in _ALIASES."""
+    if _ALIASES.get(name, name) not in _R_NAMES:
+        raise ValueError(f"unknown axis selector {name!r}; expected one of {_R_NAMES + tuple(_ALIASES)}")
+    return _R_NAMES.index(_ALIASES.get(name, name))
 
 
 def _r_row(rp: ReducedParams) -> npt.NDArray[np.float64]:

@@ -16,49 +16,48 @@ which makes the secant a bisection. No closed-form discriminants are
 used, which keeps the machinery correct for the full five-parameter
 potential.
 
-Landscapes are evaluated in batches. A plane or a sweep writes its
-grid nodes as one (n, 5) array of r1..r5 and summarizes them all with
-one ``landscape._summaries`` call, and every edge is classified by
-array comparisons of the summaries at its two ends. The events are
-refined as arrays too: one entry per event holds its bracket, the
-gaps at the bracket's ends and the angles of the pair it tracks, so
-the events of a whole plane advance in lockstep rounds. Each round
-writes the next probe of every event still refining as one array,
-summarizes it with one call, and matches every probe's pair at once.
-Each event sees exactly the probes it would see if it were refined
-alone.
+A plane is a grid of two swept r-columns and a sweep a grid of one;
+``_grid_events`` is the one path from a grid's nodes to its refined
+events, and ``landscape._column`` reads every axis name (r1..r5, or bx
+and bz for r1 and r2). The grid's nodes are one (n, 5) array of r1..r5,
+summarized with one ``landscape._summaries`` call, and every edge is
+classified by array comparisons of the summaries at its two ends. The
+events are refined as arrays too: one entry per event holds its
+bracket, the gaps at the bracket's ends and the angles of the pair it
+tracks, so the events of a whole grid advance in lockstep rounds. Each
+round writes the next probe of every event still refining as one
+array, summarizes it with one call, and matches every probe's pair at
+once. Each event sees exactly the probes it would see if it were
+refined alone.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from .landscape import (
-    _R_NAMES,
     ReducedParams,
     SpinSystem,
+    _column,
     _r_row,
     _Summary,
     _summaries,
     parameter_scale,
 )
 
-#: Selectors naming a plane axis. bz and bx are aliases for the field
-#: components r2 and r1.
-_ALIASES = {"bz": "r2", "bx": "r1"}
-
 #: A tracked well may move at most this far in theta between two
 #: adjacent evaluations and still count as the same well.
 MATCH_TOL = math.pi / 4.0
 
-#: Bifurcation edges are bisected to this fraction of the axis range.
+#: Bifurcation events are bisected to this fraction of their grid edge.
 BIFURCATION_REFINE = 1e-6
 
-#: Maxwell edges are refined to this fraction of the axis range
+#: Maxwell events are refined to this fraction of their grid edge
 #: (tighter, so degeneracy location tests have headroom).
 MAXWELL_REFINE = 1e-8
 
@@ -70,13 +69,12 @@ LINK_RADIUS = 2.0
 KINDS = ("bifurcation", "maxwell_minima", "maxwell_maxima")
 
 
-def _canonical_axis(name: str) -> str:
-    axis = _ALIASES.get(name, name)
-    if axis not in _R_NAMES:
-        raise ValueError(
-            f"unknown axis selector {name!r}; expected one of {_R_NAMES + tuple(_ALIASES)}"
-        )
-    return axis
+def _checked_range(rng: tuple[float, float]) -> tuple[float, float]:
+    """rng as floats (lo, hi), which must be finite with lo < hi."""
+    lo, hi = float(rng[0]), float(rng[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"a range needs finite bounds LO < HI, got {lo!r}:{hi!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,10 @@ class PlaneSpec:
     fixed: ReducedParams
 
     def __post_init__(self) -> None:
-        a1 = _canonical_axis(self.axis1)
-        a2 = _canonical_axis(self.axis2)
-        if a1 == a2:
+        if _column(self.axis1) == _column(self.axis2):
             raise ValueError(f"plane axes must differ, got {self.axis1!r} and {self.axis2!r}")
-        for rng in (self.range1, self.range2):
-            lo, hi = float(rng[0]), float(rng[1])
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid axis range {rng!r}")
+        _checked_range(self.range1)
+        _checked_range(self.range2)
         n1, n2 = self.shape
         if n1 < 16 or n2 < 16:
             raise ValueError(f"plane resolution must be at least 16 per axis, got {n1}x{n2}")
@@ -274,8 +268,8 @@ def _gaps(s: _Summary, events: _Events, k: np.ndarray, theta: np.ndarray) -> np.
     return gap
 
 
-def _refine_all(events: _Events, system: SpinSystem, offset: float) -> np.ndarray:
-    """The axis value of every event, all refined in lockstep.
+def _refine_all(events: _Events, system: SpinSystem, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """The axis value and the kind of every event, all refined in lockstep.
 
     Each event locates the sign change of its gap on its edge by Illinois
     regula falsi: each probe is the secant zero of the current bracket,
@@ -284,7 +278,9 @@ def _refine_all(events: _Events, system: SpinSystem, offset: float) -> np.ndarra
     becomes the far end with an unknown gap, as t = 1 is for a
     bifurcation, so the probes bisect until a probe beyond the zero
     supplies a gap again. An event stops at a probe with |gap| <= tol_dv
-    or once its bracket is no wider than tol_t.
+    or once its bracket, a fraction of its edge, is no wider than tol_t.
+    A Maxwell event that stops there with a lost probe as its upper end
+    saw its pair lost, not its gap cross zero: it becomes a bifurcation.
 
     Every event's line shares system and offset. Each round evaluates
     the probe of every event still refining as one r-array with one
@@ -318,55 +314,70 @@ def _refine_all(events: _Events, system: SpinSystem, offset: float) -> np.ndarra
         settled = np.abs(gap) <= events.tol_dv[k]
         t[k[settled]] = probe[settled]
         k = k[~settled]
+    kind = np.where(np.isnan(t) & np.isnan(f_hi), 0, events.kind)
     t = np.where(np.isnan(t), 0.5 * (lo + hi), t)
-    return v_lo + t * span
+    return v_lo + t * span, kind
 
 
 def _link_polylines(points: np.ndarray, cell1: float, cell2: float) -> list[np.ndarray]:
     """Chain the (n, 2) refined points into polylines by nearest-neighbor growth.
 
     Points are sorted lexicographically first so the chaining (and the
-    output) is deterministic; a chain extends while the nearest unused
-    point lies within LINK_RADIUS cells, then grows from its head.
+    output) is deterministic; a chain extends from its tail while the
+    nearest unused point lies within LINK_RADIUS cells, then from its
+    head the same way.
     """
-    if not len(points):
-        return []
     coords = points[np.lexsort((points[:, 1], points[:, 0]))]
     units = coords / np.array([cell1, cell2])
-    n = len(coords)
-    used = np.zeros(n, dtype=bool)
-    limit2 = LINK_RADIUS**2
-
-    def nearest(idx: int) -> int | None:
-        du = units - units[idx]
-        dist2 = du[:, 0] ** 2 + du[:, 1] ** 2
-        dist2[used] = np.inf
-        dist2[idx] = np.inf
-        j = int(np.argmin(dist2))
-        if dist2[j] <= limit2:
-            return j
-        return None
-
+    used = np.zeros(len(coords), dtype=bool)
     lines: list[np.ndarray] = []
-    for seed in range(n):
+    for seed in range(len(coords)):
         if used[seed]:
             continue
         used[seed] = True
-        chain = [seed]
-        while True:
-            nxt = nearest(chain[-1])
-            if nxt is None:
-                break
-            used[nxt] = True
-            chain.append(nxt)
-        while True:
-            prv = nearest(chain[0])
-            if prv is None:
-                break
-            used[prv] = True
-            chain.insert(0, prv)
-        lines.append(coords[chain])
+        chain = deque([seed])
+        for end, grow in ((-1, chain.append), (0, chain.appendleft)):
+            while True:
+                du = units - units[chain[end]]
+                dist2 = du[:, 0] ** 2 + du[:, 1] ** 2
+                dist2[used] = np.inf
+                j = int(np.argmin(dist2))
+                if dist2[j] > LINK_RADIUS**2:
+                    break
+                used[j] = True
+                grow(j)
+        lines.append(coords[list(chain)])
     return lines
+
+
+def _grid_events(
+    fixed: ReducedParams, columns: Sequence[int], values: Sequence[np.ndarray],
+    tol_bif: float, tol_mx: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kind code and r-row of every refined event of the grid on which
+    r-column columns[d] takes values[d] (two columns for a plane, one for
+    a sweep) and the rest are fixed's. One kernel call summarizes the
+    nodes; events refine in lockstep to tol_bif (bifurcations) or tol_mx
+    (Maxwell events) of their edge, and the row's swept column holds the
+    refined value.
+    """
+    mesh = np.meshgrid(*values, indexing="ij")
+    r = np.tile(_r_row(fixed), (mesh[0].size, 1))
+    for column, m in zip(columns, mesh):
+        r[:, column] = m.ravel()
+    # node i is row i of r; the edges along each swept column come in
+    # turn, each run ordered by the other column
+    grid = np.arange(len(r)).reshape(mesh[0].shape)
+    runs = [np.moveaxis(grid, d, -1) for d in range(len(columns))]
+    lo = np.concatenate([run[..., :-1].ravel() for run in runs])
+    hi = np.concatenate([run[..., 1:].ravel() for run in runs])
+    axis = np.concatenate([np.full(run[..., 1:].size, c) for run, c in zip(runs, columns)])
+    s = _summaries(r, fixed.system, fixed.offset)
+    events = _classify_edges(r, s, lo, hi, axis, parameter_scale(fixed), tol_bif, tol_mx)
+    value, kind = _refine_all(events, fixed.system, fixed.offset)
+    at = events.line.copy()
+    at[np.arange(len(at)), events.axis] = value
+    return kind, at
 
 
 def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
@@ -376,40 +387,18 @@ def classify_cell_edges(plane: PlaneSpec) -> SeparatrixSet:
     kernel call; each edge between adjacent nodes is classified by
     comparing the two summaries, and edges carrying an event are
     refined by one bracketed secant: stationary-count changes and lost
-    wells bisect to 1e-6 of the axis range, Maxwell degeneracies take
-    secant steps on the energy gap to 1e-8 of it (or to a gap within
-    1e-10 of the energy scale). All events of the plane refine in
-    lockstep, one kernel call per round of probes. Refined points are
-    chained into polylines. Cells with a degenerate (flat) landscape
-    are excluded.
+    wells bisect to BIFURCATION_REFINE (1e-6) of their grid edge,
+    Maxwell degeneracies take secant steps on the energy gap to
+    MAXWELL_REFINE (1e-8) of it, or to a gap within 1e-10 of the energy
+    scale. All events of the plane refine in lockstep, one kernel call
+    per round of probes. Refined points are chained into polylines.
+    Cells with a degenerate (flat) landscape are excluded.
     """
-    a1 = _R_NAMES.index(_canonical_axis(plane.axis1))
-    a2 = _R_NAMES.index(_canonical_axis(plane.axis2))
-    vals1, vals2 = plane.axes()
-    n1, n2 = plane.shape
-    fixed = plane.fixed
-
-    # node (i1, i2) is row i1 * n2 + i2; the edges along axis 1 come
-    # first, then those along axis 2
-    r = np.tile(_r_row(fixed), (n1 * n2, 1))
-    r[:, a1] = np.repeat(vals1, n2)
-    r[:, a2] = np.tile(vals2, n1)
-    grid = np.arange(n1 * n2).reshape(n1, n2)
-    lo = np.concatenate([grid[:-1].T.ravel(), grid[:, :-1].ravel()])
-    hi = np.concatenate([grid[1:].T.ravel(), grid[:, 1:].ravel()])
-    axis = np.repeat([a1, a2], [(n1 - 1) * n2, n1 * (n2 - 1)])
-    s = _summaries(r, fixed.system, fixed.offset)
-    events = _classify_edges(
-        r, s, lo, hi, axis, parameter_scale(fixed), BIFURCATION_REFINE, MAXWELL_REFINE
-    )
-    at = events.line.copy()
-    at[np.arange(len(at)), events.axis] = _refine_all(events, fixed.system, fixed.offset)
-
-    cell1 = (plane.range1[1] - plane.range1[0]) / (n1 - 1)
-    cell2 = (plane.range2[1] - plane.range2[0]) / (n2 - 1)
+    columns = [_column(plane.axis1), _column(plane.axis2)]
+    kind, at = _grid_events(plane.fixed, columns, plane.axes(), BIFURCATION_REFINE, MAXWELL_REFINE)
+    cells = [(hi - lo) / (n - 1) for (lo, hi), n in zip((plane.range1, plane.range2), plane.shape)]
     return SeparatrixSet(**{
-        kind: _link_polylines(at[events.kind == c][:, [a1, a2]], cell1, cell2)
-        for c, kind in enumerate(KINDS)
+        name: _link_polylines(at[kind == c][:, columns], *cells) for c, name in enumerate(KINDS)
     })
 
 
@@ -423,38 +412,26 @@ def sweep_crossings(
 ) -> SweepResult:
     """Crossing values of the separatrix along a single parameter axis.
 
-    The one-dimensional analogue of ``classify_cell_edges``: sample the
-    landscape along the axis (one kernel call), classify
-    consecutive segments, and refine every event in lockstep with the
-    same refiner (secant steps for Maxwell points, bisection for count
-    changes and lost wells) down to refine_to (in the axis's own kelvin
-    units).
+    The one-dimensional grid of ``classify_cell_edges``: sample the
+    landscape along the axis (one kernel call), classify consecutive
+    segments, and refine every event in lockstep with the same refiner
+    (secant steps for Maxwell points, bisection for count changes and
+    lost wells) down to refine_to (in the axis's own kelvin units).
 
     Raises:
         ValueError: if refine_to is not finite or is below 2**-52 of the
             sample step, where float64 can no longer split a bracket.
     """
-    column = _R_NAMES.index(_canonical_axis(axis))
-    lo, hi = float(sweep_range[0]), float(sweep_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid sweep range {sweep_range!r}")
+    column = _column(axis)
+    lo, hi = _checked_range(sweep_range)
     if samples < 2:
         raise ValueError("sweep needs at least 2 samples")
     values = np.linspace(lo, hi, samples)
-    scale = parameter_scale(fixed)
     step = values[1] - values[0]
     if not (math.isfinite(refine_to) and refine_to / step >= 2.0**-52):
         raise ValueError(
             f"refine_to must be finite and at least 2**-52 of the sample step, got {refine_to!r}"
         )
     tol_t = min(0.5, refine_to / step)
-
-    r = np.tile(_r_row(fixed), (samples, 1))
-    r[:, column] = values
-    s = _summaries(r, fixed.system, fixed.offset)
-    nodes = np.arange(samples)
-    events = _classify_edges(
-        r, s, nodes[:-1], nodes[1:], np.full(samples - 1, column), scale, tol_t, tol_t
-    )
-    found = _refine_all(events, fixed.system, fixed.offset)
-    return SweepResult(*(tuple(sorted(found[events.kind == c].tolist())) for c in range(len(KINDS))))
+    kind, at = _grid_events(fixed, [column], [values], tol_t, tol_t)
+    return SweepResult(*(tuple(sorted(at[kind == c, column].tolist())) for c in range(len(KINDS))))

@@ -10,8 +10,8 @@ reached by scaling the field components by g / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -70,11 +70,14 @@ class SpinSystem:
         return self.two_s * (self.two_s + 2) / 4.0
 
 
-def _finite(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return v
+def _finite_fields(params: object, names: Iterable[str] | None = None) -> None:
+    """Store each named field of the frozen dataclass params, every field
+    by default, as a float; each must be finite."""
+    for name in [f.name for f in fields(params)] if names is None else names:
+        value = float(getattr(params, name))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,7 @@ class AnisotropyParams:
     b44: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("d", "e", "b40", "b42", "b43", "b44"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        _finite_fields(self)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ class FieldVector:
     bz: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("bx", "by", "bz"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        _finite_fields(self)
 
 
 class SpinMatrices(NamedTuple):

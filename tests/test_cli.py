@@ -223,6 +223,9 @@ _SET_TWICE = {
         (_SET_TWICE["potential"][0], 2, None),
         (_SET_TWICE["separatrix"][0], 2, None),
         (["potential", "--compound", "3", "--grid", "5", "--format", "json"], 2, None),
+        (["compounds", "--export", "3"], 2, None),
+        (["compounds", "--export", "3", "--format", "json"], 2, None),
+        (["compounds"], 2, None),
     ],
     ids=[
         "spectrum-bad-r-params", "spectrum-crossings-fail", "separatrix-one-axis",
@@ -232,6 +235,7 @@ _SET_TWICE = {
         "separatrix-range-of-unswept-axis", "separatrix-two-s-with-compound",
         "potential-two-s-with-compound", "potential-bx-with-r-params-r1",
         "separatrix-bx-with-r-params-r1", "potential-plot-script-with-json",
+        "compounds-export-plot-script", "compounds-export-json", "compounds-listing-out",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -255,6 +259,51 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
         assert "--r-params" in err
     if "--format" in argv:
         assert "--format" in err and "--plot-script" in err
+    if argv[0] == "compounds":
+        assert "--plot-script" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compounds", "--export", "3", "--format", "json", "--out", "a.json"], "--format"),
+        (["compounds", "--out", "c.txt"], "--out"),
+    ],
+    ids=["export-json", "listing-out"],
+)
+def test_compounds_refuses_the_flags_it_ignores(tmp_path, monkeypatch, capsys, argv, flag):
+    # an export is key=value text and the listing is printed: a flag
+    # neither can honour is an error, not silently dropped
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["spectrum", "--compound", "3", "--bz-range", "a:1", "--out", "f.csv"], ("--bz-range", "'a'")),
+        (["fidelity-map", "--compound", "3", "--bz-range", "0:1", "--bx-range", "0:1",
+          "--grid", "2x3x4", "--out", "f.csv"], ("--grid", "got '2x3x4'")),
+        (["heatcap-map", "--compound", "3", "--bz-range", "0:1", "--bx-range", "0:1",
+          "--temps", "0.05,warm", "--out", "f.csv"], ("--temps", "'warm'")),
+        (["potential", "--compound-file", "../c.txt", "--out", "f.csv"], ("c.txt", "two_s")),
+        (["spectrum", "--bz-range", "0:1", "--out", "f.csv"], ("--compound", "--compound-file")),
+        (["potential", "--compound", "3"], ("--out",)),
+    ],
+    ids=["range-not-a-number", "grid-three-counts", "temps-not-a-number", "malformed-compound-file",
+         "no-compound", "no-out"],
+)
+def test_refusals_name_the_problem(tmp_path, monkeypatch, capsys, argv, named):
+    (tmp_path / "c.txt").write_text("id = x\ntwo_s = ten\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, kept, dropped", list(_SET_TWICE.values()), ids=list(_SET_TWICE))

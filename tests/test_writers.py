@@ -15,6 +15,13 @@ from spinscape.writers import (
 )
 
 
+def test_json_refuses_an_unsupported_cell_before_writing(tmp_path):
+    out = tmp_path / "t.json"
+    with pytest.raises(TypeError, match="object"):
+        write_json(out, [("tool", "demo")], ["a"], [[1.0], [object()]])
+    assert not out.exists()
+
+
 def test_format_cell():
     assert format_cell(1.5) == "1.5"
     assert format_cell(0.1) == "0.1"  # repr round-trips, no padding
