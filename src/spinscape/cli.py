@@ -410,10 +410,11 @@ def _cmd_heatcap_map(args: argparse.Namespace) -> list[_Table]:
 
 
 def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
-    for flag, given in (("--format", args.format != "csv"), ("--plot-script", args.plot_script),
-                        ("--out", args.out is not None and not args.export)):
-        if given:
-            raise CliError(f"{flag} cannot be set: --export writes key=value text; the listing prints")
+    flags = (("--format", args.format is not None), ("--plot-script", args.plot_script),
+             ("--out", args.out is not None and not args.export))
+    given = [flag for flag, set_ in flags if set_]
+    if given:
+        raise CliError(f"{' and '.join(given)} cannot be set: --export writes key=value text; the listing prints")
     if args.export:
         try:
             compound = lookup(args.export)
@@ -443,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     """
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="output file path (required except for the compounds listing)")
-    output.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    # None, not csv: compounds refuses --format even when it names csv
+    output.add_argument("--format", choices=("csv", "json"), help="output format (default: csv)")
     output.add_argument(
         "--plot-script",
         action="store_true",
@@ -538,7 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # every table is computed before the first file is written
         for table in args.handler(args):
             head = [("tool", f"spinscape {__version__}"), ("command", table.command), *table.settings]
-            writers.write_table(table.path, args.format, head, table.columns, table.rows)
+            writers.write_table(table.path, args.format or "csv", head, table.columns, table.rows)
             if args.plot_script and table.plot_script is not None:
                 # each script is named after its own data file: --out hc with
                 # two temperatures writes hc-T0.05.gp and hc-T0.07.gp

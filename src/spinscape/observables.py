@@ -17,6 +17,8 @@ level so nothing overflows no matter how cold.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +65,32 @@ class ThermoPoint:
 #: widest matrices a stack builds: 8 for the eigenvalues of a real H, 16
 #: when H or the eigenvectors are complex. One stack for a 1001-point
 #: sweep at 2S = 60 would hold ~30 MB of real H, and a stack's temporaries
-#: take about five times that; 256 KiB (8 real or 4 complex matrices at
-#: dimension 61) keeps peak memory within ~2 MB of one matrix at a time
-#: and runs about as fast as 1 MiB. Counting a real H with eigenvectors
-#: at 8 bytes doubled the complex eigenvector temporaries and added
-#: ~0.9 MB to peak memory on a 101x21 fidelity map at dimension 11.
+#: take about five times that; 256 KiB keeps peak memory within a few MB
+#: of one matrix at a time and runs about as fast as 1 MiB. Counting a
+#: real H with eigenvectors at 8 bytes doubled the complex eigenvector
+#: temporaries and added ~0.9 MB to peak memory on a 101x21 fidelity map
+#: at dimension 11.
+#:
+#: A stack also holds at least ``_STACK_MIN`` matrices, which overrides
+#: the budget above dimension 36 (eigenvalues of a real H) or 26 (16-byte
+#: entries): at 2S = 60 a real stack holds 24 matrices (714 KB), not 8.
+#: spectra diagonalises its stacks on two threads, and numpy's eigvalsh
+#: lets the other thread run only on a call of more than ~500 eigenvalues
+#: in all (one BLAS thread, dimensions 11 to 61: 8 matrices of dimension
+#: 61 or 32 of dimension 11 held the GIL, 12 or 48 released it). With 24,
+#: every full stack of every dimension up to 64 holds at least 624
+#: eigenvalues. A 1001-point sweep at 2S = 60 without eigenvectors (2-vCPU
+#: Xeon VM, numpy 2.4.6) took 171 ms on one thread, 202 ms on two with 8
+#: matrices per stack, 100-108 ms with 12 to 24 and 120 ms with 32.
 _STACK_BYTES = 1 << 18
+_STACK_MIN = 24
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def spectra(
@@ -85,21 +107,55 @@ def spectra(
     at that point alone; points with by = 0 are solved in real arithmetic.
     With ``vectors=False`` the ground vector is None and the levels equal
     ``eigh_stack(build_hamiltonian(...), vectors=False)``, which may differ
-    from eigh's in the last bits. The field-free terms of H are built once
-    per call, and every stack is assembled from them."""
+    from eigh's in the last bits.
+
+    The field-free terms of H are built once per call. The points are cut
+    into stacks of at most 256 KiB, or of 24 matrices where the budget
+    holds fewer (see ``_STACK_BYTES``); each stack is assembled from those
+    terms and diagonalised by one :func:`~spinscape.eig.eigh_stack` call.
+    With two or more stacks and two or more usable CPUs, one helper thread
+    takes every second stack and the calling thread the others; numpy's
+    LAPACK calls release the GIL on stacks this size, so the two overlap.
+    A point's result depends on neither its stack nor its thread. An error
+    raised in the helper's stacks is raised here with its type and
+    message, and the helper has always finished when this returns.
+    """
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
     ground = np.empty((n, dim), dtype=np.complex128) if vectors else None
     itemsize = 16 if vectors or np.any(by) else 8
-    step = max(1, _STACK_BYTES // (itemsize * dim * dim))
+    step = max(_STACK_MIN, _STACK_BYTES // (itemsize * dim * dim))
     terms = _field_free_terms(system, aniso)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        h = _assemble(terms, bx.flat[part], by.flat[part], bz.flat[part])
-        levels[part], v = eigh_stack(h, vectors=vectors)
-        if vectors:
-            ground[part] = v[..., 0]
+    stacks = [slice(lo, lo + step) for lo in range(0, n, step)]
+
+    def solve(parts: list[slice]) -> None:
+        # each thread writes only the rows of its own stacks
+        for part in parts:
+            h = _assemble(terms, bx.flat[part], by.flat[part], bz.flat[part])
+            levels[part], v = eigh_stack(h, vectors=vectors)
+            if vectors:
+                ground[part] = v[..., 0]
+
+    if len(stacks) > 1 and _usable_cpus() > 1:
+        failed: list[Exception] = []
+
+        def helper() -> None:
+            try:
+                solve(stacks[1::2])
+            except Exception as exc:  # re-raised by the calling thread
+                failed.append(exc)
+
+        thread = threading.Thread(target=helper, name="spinscape-spectra")
+        thread.start()
+        try:
+            solve(stacks[::2])
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
+    else:
+        solve(stacks)
     if vectors:
         ground = ground.reshape(bx.shape + (dim,))
     return levels.reshape(bx.shape + (dim,)), ground

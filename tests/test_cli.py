@@ -225,6 +225,7 @@ _SET_TWICE = {
         (["potential", "--compound", "3", "--grid", "5", "--format", "json"], 2, None),
         (["compounds", "--export", "3"], 2, None),
         (["compounds", "--export", "3", "--format", "json"], 2, None),
+        (["compounds", "--export", "3", "--format", "csv"], 2, None),
         (["compounds"], 2, None),
     ],
     ids=[
@@ -235,7 +236,8 @@ _SET_TWICE = {
         "separatrix-range-of-unswept-axis", "separatrix-two-s-with-compound",
         "potential-two-s-with-compound", "potential-bx-with-r-params-r1",
         "separatrix-bx-with-r-params-r1", "potential-plot-script-with-json",
-        "compounds-export-plot-script", "compounds-export-json", "compounds-listing-out",
+        "compounds-export-plot-script", "compounds-export-json", "compounds-export-csv",
+        "compounds-listing-out",
     ],
 )
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code, sweep):
@@ -267,9 +269,10 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
     "argv, flag",
     [
         (["compounds", "--export", "3", "--format", "json", "--out", "a.json"], "--format"),
+        (["compounds", "--export", "3", "--format", "csv", "--out", "a.csv"], "--format"),
         (["compounds", "--out", "c.txt"], "--out"),
     ],
-    ids=["export-json", "listing-out"],
+    ids=["export-json", "export-csv", "listing-out"],
 )
 def test_compounds_refuses_the_flags_it_ignores(tmp_path, monkeypatch, capsys, argv, flag):
     # an export is key=value text and the listing is printed: a flag

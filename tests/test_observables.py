@@ -1,6 +1,8 @@
 """Fidelity and thermodynamics built on the exact spectra."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from spinscape import (
     thermo,
 )
 from spinscape import observables
-from spinscape.eig import eigh_stack
+from spinscape.eig import ConvergenceError, eigh_stack
 from spinscape.observables import spectra
 
 
@@ -163,17 +165,17 @@ def test_spectra_sweep_longer_than_one_stack_equals_pointwise(monkeypatch):
     system = SpinSystem(60)
     aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b44=-1e-6)
     bz = np.linspace(-3.0, 3.0, 41)
-    stack_bytes = []
+    stack_sizes = []
     original = observables.eigh_stack
 
     def recording(h, **kwargs):
-        stack_bytes.append(h.nbytes)
+        stack_sizes.append(h.shape[0])
         return original(h, **kwargs)
 
     monkeypatch.setattr(observables, "eigh_stack", recording)
     levels, ground = spectra(system, aniso, 0.9, 0.0, bz)
-    assert len(stack_bytes) > 1
-    assert max(stack_bytes) <= observables._STACK_BYTES
+    # 256 KiB holds 4 complex 61x61 matrices; the 24-matrix floor wins
+    assert sorted(stack_sizes) == [17, 24]
     assert levels.shape == (41, 61) and ground.shape == (41, 61)
     for i, z in enumerate(bz):
         spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=0.9, bz=float(z))))
@@ -254,24 +256,152 @@ def test_heatcap_map_levels_equal_per_node_eigenvalues_only(monkeypatch, by):
 
 
 def test_spectra_stack_budget_counts_the_widest_dtype(monkeypatch):
-    system = SpinSystem(60)
     aniso = AnisotropyParams(d=-0.3, e=0.01)
     stacks = []
     original = observables.eigh_stack
 
     def recording(h, **kwargs):
-        stacks.append((h.dtype, h.shape[0], h.nbytes))
+        stacks.append((h.dtype, h.shape[0]))
         return original(h, **kwargs)
 
     monkeypatch.setattr(observables, "eigh_stack", recording)
     # eigenvalues of a real H count 8 bytes per entry; complex H or
-    # eigenvectors (always complex) count 16
-    cases = ((0.0, False, np.dtype(float), 8), (0.0, True, np.dtype(float), 16),
-             (0.2, False, np.dtype(complex), 16), (0.2, True, np.dtype(complex), 16))
-    for by, vectors, dtype, itemsize in cases:
+    # eigenvectors (always complex) count 16; a stack holds at least 24
+    # matrices, all but the last of a call exactly its size
+    cases = (
+        (20, 0.0, False, [26, 74]),
+        (20, 0.0, True, [26, 37, 37]),
+        (20, 0.2, False, [26, 37, 37]),
+        (20, 0.2, True, [26, 37, 37]),
+        (30, 0.0, False, [32, 34, 34]),
+        (30, 0.0, True, [4, 24, 24, 24, 24]),
+        (30, 0.2, False, [4, 24, 24, 24, 24]),
+        (60, 0.0, False, [4, 24, 24, 24, 24]),
+        (60, 0.2, True, [4, 24, 24, 24, 24]),
+    )
+    for two_s, by, vectors, sizes in cases:
         stacks.clear()
-        spectra(system, aniso, 0.9, by, np.linspace(-1.0, 1.0, 20), vectors=vectors)
-        full = observables._STACK_BYTES // (itemsize * 61 * 61)
-        assert [s[:2] for s in stacks[:-1]] == [(dtype, full)] * (len(stacks) - 1)
-        assert stacks[-1][0] == dtype and sum(s[1] for s in stacks) == 20
-        assert max(s[2] for s in stacks) <= observables._STACK_BYTES
+        spectra(SpinSystem(two_s), aniso, 0.9, by, np.linspace(-1.0, 1.0, 100), vectors=vectors)
+        # the helper thread may finish its stacks first: compare sorted
+        assert sorted(size for _, size in stacks) == sizes
+        assert {dtype for dtype, _ in stacks} == {np.dtype(complex if by else float)}
+
+
+def _stack_threads(monkeypatch, cpus=2):
+    """Make spectra see `cpus` usable CPUs, so that the helper runs even in
+    a process pinned to one; the list returned tells, per stack, whether
+    the calling thread took it."""
+    monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
+    threads = []
+    original = observables.eigh_stack
+
+    def recording(h, **kwargs):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(observables, "eigh_stack", recording)
+    return threads
+
+
+def _grid(kind):
+    """(system, aniso, bx, by, bz, vectors) of a call that takes several stacks."""
+    if kind == "2S=60 levels":
+        aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b44=-1e-6)
+        return SpinSystem(60), aniso, 0.9, 0.0, np.linspace(-3.0, 3.0, 73), False
+    c = lookup("3-trigonal")
+    bz = np.linspace(-0.2, 0.5, 24)[:, None]
+    bx = np.linspace(1.0, 2.3, 13)
+    if kind == "fidelity grid":
+        # fidelity_map's grid: both shifted copies of every node
+        return c.system, c.aniso, bx, 0.0, bz + np.array([-0.001, 0.001])[:, None, None], True
+    by = np.array([0.0, 0.3, 0.0, -1.1] * 6)[:, None]
+    return c.system, c.aniso, bx, by, bz, True
+
+
+@pytest.mark.parametrize("kind", ["2S=60 levels", "fidelity grid", "mixed by grid"])
+def test_spectra_on_two_threads_equals_pointwise(monkeypatch, kind):
+    threads = _stack_threads(monkeypatch)
+    system, aniso, bx, by, bz, vectors = _grid(kind)
+    levels, ground = spectra(system, aniso, bx, by, bz, vectors=vectors)
+    assert len(threads) >= 3 and set(threads) == {True, False}
+    bx, by, bz = np.broadcast_arrays(bx, by, bz)
+    for i in np.ndindex(bx.shape):
+        h = build_hamiltonian(system, aniso, FieldVector(bx=bx[i], by=by[i], bz=bz[i]))
+        if vectors:
+            spec = eigh(h)
+            assert np.array_equal(levels[i], spec.eigenvalues)
+            assert np.array_equal(ground[i], spec.eigenvectors[:, 0])
+        else:
+            w, _ = eigh_stack(h, vectors=False)
+            assert np.array_equal(levels[i], w) and ground is None
+
+
+@pytest.mark.parametrize(
+    "points, cpus, stacks",
+    [(0, 2, 0), (1, 2, 1), (135, 2, 1), (300, 1, 3)],
+    ids=["no-point", "one-point", "one-stack", "one-cpu"],
+)
+def test_spectra_with_one_stack_or_cpu_starts_no_thread(monkeypatch, points, cpus, stacks):
+    threads = _stack_threads(monkeypatch, cpus)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    c = lookup("3-trigonal")
+    # 135 complex 11x11 matrices fill one 256 KiB stack
+    levels, ground = spectra(c.system, c.aniso, 0.9, 0.0, np.linspace(-1.0, 1.0, points))
+    assert levels.shape == ground.shape == (points, 11)
+    assert threads == [True] * stacks
+
+
+@pytest.mark.parametrize("error", [ValueError, ConvergenceError])
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_spectra_error_in_either_thread_reaches_the_caller(monkeypatch, error, where):
+    _stack_threads(monkeypatch)
+    original = observables.eigh_stack
+    seen = []
+
+    def failing(h, **kwargs):
+        # the helper's first stack is the call's second
+        seen.append(threading.current_thread() is threading.main_thread())
+        if seen[-1] == (where == "caller"):
+            raise error(f"injected into the {where}")
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(observables, "eigh_stack", failing)
+    system, aniso, bx, by, bz, vectors = _grid("2S=60 levels")
+    before = threading.active_count()
+    with pytest.raises(error, match=f"^injected into the {where}$"):
+        spectra(system, aniso, bx, by, bz, vectors=vectors)
+    assert threading.active_count() == before
+    assert set(seen) == {True, False}
+
+
+def test_spectra_from_many_threads_at_a_short_switch_interval(monkeypatch):
+    # three callers, each with its helper, on two CPUs or fewer: every
+    # row must still come from its own point's stack
+    system, aniso, bx, by, bz, vectors = _grid("mixed by grid")
+    monkeypatch.setattr(observables, "_usable_cpus", lambda: 1)
+    expected = spectra(system, aniso, bx, by, bz, vectors=vectors)
+    monkeypatch.setattr(observables, "_usable_cpus", lambda: 2)
+    results = []
+
+    def call():
+        for _ in range(3):
+            results.append(spectra(system, aniso, bx, by, bz, vectors=vectors))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 9
+    for levels, ground in results:
+        assert np.array_equal(levels, expected[0]) and np.array_equal(ground, expected[1])
