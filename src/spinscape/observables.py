@@ -71,17 +71,26 @@ class ThermoPoint:
 #: temporaries and added ~0.9 MB to peak memory on a 101x21 fidelity map
 #: at dimension 11.
 #:
-#: A stack also holds at least ``_STACK_MIN`` matrices, which overrides
-#: the budget above dimension 36 (eigenvalues of a real H) or 26 (16-byte
-#: entries): at 2S = 60 a real stack holds 24 matrices (714 KB), not 8.
-#: spectra diagonalises its stacks on two threads, and numpy's eigvalsh
-#: lets the other thread run only on a call of more than ~500 eigenvalues
-#: in all (one BLAS thread, dimensions 11 to 61: 8 matrices of dimension
-#: 61 or 32 of dimension 11 held the GIL, 12 or 48 released it). With 24,
-#: every full stack of every dimension up to 64 holds at least 624
-#: eigenvalues. A 1001-point sweep at 2S = 60 without eigenvectors (2-vCPU
-#: Xeon VM, numpy 2.4.6) took 171 ms on one thread, 202 ms on two with 8
-#: matrices per stack, 100-108 ms with 12 to 24 and 120 ms with 32.
+#: spectra hands every second stack of an eigenvalue-only call
+#: (``vectors=False``) to one helper thread when the process may run on
+#: two or more CPUs, and such a stack then holds at least ``_STACK_MIN``
+#: matrices, which overrides the budget above dimension 36 for a real H
+#: and above 26 for a complex one: at 2S = 60 a real stack holds 24
+#: matrices (714 KB), not 8. numpy's eigvalsh lets the other thread run
+#: only on a call of more than ~500 eigenvalues in all (one BLAS thread,
+#: dimensions 11 to 61: 8 matrices of dimension 61 or 32 of dimension 11
+#: held the GIL, 12 or 48 released it). With 24, every full stack of
+#: every dimension up to 64 holds at least 624 eigenvalues. A 1001-point
+#: sweep at 2S = 60 (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS) took 171 ms
+#: on one thread, 202 ms on two with 8 matrices per stack, 100-108 ms
+#: with 12 to 24 and 120 ms with 32.
+#:
+#: Calls with eigenvectors stay on the calling thread: eigh runs
+#: multithreaded BLAS, which a second caller oversubscribes. At OpenBLAS's
+#: default thread count, 1818 points at 2S = 60 took 1085-1150 ms on two
+#: threads against 623-706 ms on one (eigenvalues only: 214-226 against
+#: 310-349 ms). On one CPU the helper gained no time and added ~2 MB (4%)
+#: to peak RSS, so the floor, which only serves the helper, is off too.
 _STACK_BYTES = 1 << 18
 _STACK_MIN = 24
 
@@ -110,22 +119,24 @@ def spectra(
     from eigh's in the last bits.
 
     The field-free terms of H are built once per call. The points are cut
-    into stacks of at most 256 KiB, or of 24 matrices where the budget
-    holds fewer (see ``_STACK_BYTES``); each stack is assembled from those
+    into stacks of at most 256 KiB; each stack is assembled from those
     terms and diagonalised by one :func:`~spinscape.eig.eigh_stack` call.
-    With two or more stacks and two or more usable CPUs, one helper thread
-    takes every second stack and the calling thread the others; numpy's
-    LAPACK calls release the GIL on stacks this size, so the two overlap.
-    A point's result depends on neither its stack nor its thread. An error
-    raised in the helper's stacks is raised here with its type and
-    message, and the helper has always finished when this returns.
+    Without eigenvectors, on two or more usable CPUs, a stack holds at
+    least 24 matrices and, when there are two or more stacks, one helper
+    thread takes every second stack and the calling thread the others;
+    numpy's eigvalsh releases the GIL on stacks this size, so the two
+    overlap (see ``_STACK_BYTES``). A point's result depends on neither its
+    stack nor its thread. An error raised in the helper's stacks is raised
+    here with its type and message, and the helper has always finished
+    when this returns.
     """
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
     ground = np.empty((n, dim), dtype=np.complex128) if vectors else None
     itemsize = 16 if vectors or np.any(by) else 8
-    step = max(_STACK_MIN, _STACK_BYTES // (itemsize * dim * dim))
+    threaded = not vectors and _usable_cpus() > 1
+    step = max(_STACK_BYTES // (itemsize * dim * dim), _STACK_MIN if threaded else 1)
     terms = _field_free_terms(system, aniso)
     stacks = [slice(lo, lo + step) for lo in range(0, n, step)]
 
@@ -137,7 +148,7 @@ def spectra(
             if vectors:
                 ground[part] = v[..., 0]
 
-    if len(stacks) > 1 and _usable_cpus() > 1:
+    if threaded and len(stacks) > 1:
         failed: list[Exception] = []
 
         def helper() -> None:

@@ -174,8 +174,9 @@ def test_spectra_sweep_longer_than_one_stack_equals_pointwise(monkeypatch):
 
     monkeypatch.setattr(observables, "eigh_stack", recording)
     levels, ground = spectra(system, aniso, 0.9, 0.0, bz)
-    # 256 KiB holds 4 complex 61x61 matrices; the 24-matrix floor wins
-    assert sorted(stack_sizes) == [17, 24]
+    # 256 KiB holds 4 complex 61x61 matrices; with eigenvectors no stack
+    # floor applies
+    assert sorted(stack_sizes) == [1] + [4] * 10
     assert levels.shape == (41, 61) and ground.shape == (41, 61)
     for i, z in enumerate(bz):
         spec = eigh(build_hamiltonian(system, aniso, FieldVector(bx=0.9, bz=float(z))))
@@ -266,21 +267,25 @@ def test_spectra_stack_budget_counts_the_widest_dtype(monkeypatch):
 
     monkeypatch.setattr(observables, "eigh_stack", recording)
     # eigenvalues of a real H count 8 bytes per entry; complex H or
-    # eigenvectors (always complex) count 16; a stack holds at least 24
-    # matrices, all but the last of a call exactly its size
+    # eigenvectors (always complex) count 16; on two CPUs a stack of
+    # eigenvalues only holds at least 24 matrices; all but the last of a
+    # call are full
     cases = (
-        (20, 0.0, False, [26, 74]),
-        (20, 0.0, True, [26, 37, 37]),
-        (20, 0.2, False, [26, 37, 37]),
-        (20, 0.2, True, [26, 37, 37]),
-        (30, 0.0, False, [32, 34, 34]),
-        (30, 0.0, True, [4, 24, 24, 24, 24]),
-        (30, 0.2, False, [4, 24, 24, 24, 24]),
-        (60, 0.0, False, [4, 24, 24, 24, 24]),
-        (60, 0.2, True, [4, 24, 24, 24, 24]),
+        (20, 0.0, False, 2, [26, 74]),
+        (20, 0.0, True, 2, [26, 37, 37]),
+        (20, 0.2, False, 2, [26, 37, 37]),
+        (20, 0.2, True, 2, [26, 37, 37]),
+        (30, 0.0, False, 2, [32, 34, 34]),
+        (30, 0.0, True, 2, [15] + [17] * 5),
+        (30, 0.2, False, 2, [4, 24, 24, 24, 24]),
+        (30, 0.2, False, 1, [15] + [17] * 5),
+        (60, 0.0, False, 2, [4, 24, 24, 24, 24]),
+        (60, 0.0, False, 1, [4] + [8] * 12),
+        (60, 0.2, True, 2, [4] * 25),
     )
-    for two_s, by, vectors, sizes in cases:
+    for two_s, by, vectors, cpus, sizes in cases:
         stacks.clear()
+        monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
         spectra(SpinSystem(two_s), aniso, 0.9, by, np.linspace(-1.0, 1.0, 100), vectors=vectors)
         # the helper thread may finish its stacks first: compare sorted
         assert sorted(size for _, size in stacks) == sizes
@@ -315,15 +320,17 @@ def _grid(kind):
         # fidelity_map's grid: both shifted copies of every node
         return c.system, c.aniso, bx, 0.0, bz + np.array([-0.001, 0.001])[:, None, None], True
     by = np.array([0.0, 0.3, 0.0, -1.1] * 6)[:, None]
-    return c.system, c.aniso, bx, by, bz, True
+    return c.system, c.aniso, bx, by, bz, False
 
 
 @pytest.mark.parametrize("kind", ["2S=60 levels", "fidelity grid", "mixed by grid"])
-def test_spectra_on_two_threads_equals_pointwise(monkeypatch, kind):
+def test_spectra_multi_stack_call_equals_pointwise(monkeypatch, kind):
     threads = _stack_threads(monkeypatch)
     system, aniso, bx, by, bz, vectors = _grid(kind)
     levels, ground = spectra(system, aniso, bx, by, bz, vectors=vectors)
-    assert len(threads) >= 3 and set(threads) == {True, False}
+    # eigenvalue-only stacks are shared with the helper; with eigenvectors
+    # the calling thread takes them all
+    assert len(threads) >= 3 and set(threads) == ({True} if vectors else {True, False})
     bx, by, bz = np.broadcast_arrays(bx, by, bz)
     for i in np.ndindex(bx.shape):
         h = build_hamiltonian(system, aniso, FieldVector(bx=bx[i], by=by[i], bz=bz[i]))
@@ -337,11 +344,11 @@ def test_spectra_on_two_threads_equals_pointwise(monkeypatch, kind):
 
 
 @pytest.mark.parametrize(
-    "points, cpus, stacks",
-    [(0, 2, 0), (1, 2, 1), (135, 2, 1), (300, 1, 3)],
-    ids=["no-point", "one-point", "one-stack", "one-cpu"],
+    "points, cpus, vectors, stacks",
+    [(0, 2, False, 0), (1, 2, False, 1), (270, 2, False, 1), (600, 1, False, 3), (600, 2, True, 5)],
+    ids=["no-point", "one-point", "one-stack", "one-cpu", "eigenvectors"],
 )
-def test_spectra_with_one_stack_or_cpu_starts_no_thread(monkeypatch, points, cpus, stacks):
+def test_spectra_starts_no_thread(monkeypatch, points, cpus, vectors, stacks):
     threads = _stack_threads(monkeypatch, cpus)
 
     def refuse(*args, **kwargs):
@@ -349,9 +356,9 @@ def test_spectra_with_one_stack_or_cpu_starts_no_thread(monkeypatch, points, cpu
 
     monkeypatch.setattr(threading, "Thread", refuse)
     c = lookup("3-trigonal")
-    # 135 complex 11x11 matrices fill one 256 KiB stack
-    levels, ground = spectra(c.system, c.aniso, 0.9, 0.0, np.linspace(-1.0, 1.0, points))
-    assert levels.shape == ground.shape == (points, 11)
+    # 256 KiB holds 270 real or 135 complex 11x11 matrices
+    levels, ground = spectra(c.system, c.aniso, 0.9, 0.0, np.linspace(-1.0, 1.0, points), vectors=vectors)
+    assert levels.shape == (points, 11) and (ground is None) != vectors
     assert threads == [True] * stacks
 
 
@@ -404,4 +411,4 @@ def test_spectra_from_many_threads_at_a_short_switch_interval(monkeypatch):
     assert not any(t.is_alive() for t in callers)
     assert len(results) == 9
     for levels, ground in results:
-        assert np.array_equal(levels, expected[0]) and np.array_equal(ground, expected[1])
+        assert np.array_equal(levels, expected[0]) and ground is expected[1] is None
