@@ -24,10 +24,17 @@ fidelity increment) by mu_B/k_B, about 0.6717 K/T; the Lande factor,
 fixed at g = 2 in the Hamiltonian, does not enter it. Anisotropy-style
 inputs such as ``--r-params`` stay in kelvin either way.
 
-Each reduced parameter r1..r5 has at most one owner: the range flag of
-an axis the command sweeps, ``--bx`` or ``--bz``, or an ``--r-params``
-key. ``_reduced_from_args`` alone applies that rule, and a parameter
-given two owners exits 2 naming both flags.
+argparse converts and checks every input on its own: each range, point
+count, grid, temperature list, axis name and ``--r-params`` value, the
+compound from ``--compound`` or ``--compound-file`` (which exclude each
+other), and the ``--out`` path are argparse ``type=`` values, so a
+handler receives them typed, and a bad one exits 2 naming its flag
+before anything is computed. What needs several flags at once is
+checked after parsing: ``main`` requires ``--out`` once for every
+command that writes a file, and ``_reduced_from_args`` owns r1..r5.
+Each reduced parameter has at most one owner: the range flag of an axis
+the command sweeps, ``--bx`` or ``--bz``, or an ``--r-params`` key, and
+a parameter given two owners exits 2 naming both flags.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ from . import __version__
 from .compounds import Compound, catalog, dump_compound, load_compound, lookup
 from .eig import ConvergenceError
 from .landscape import _ALIASES, _R_NAMES, ReducedParams, _column, potential_reduced, reduce_params
-from .observables import fidelity_map, heatcap_map, spectra
+from .observables import _checked_temperature, fidelity_map, heatcap_map, spectra
 from .separatrix import KINDS, PlaneSpec, _checked_range, classify_cell_edges, sweep_crossings
 from .spin import MU_B_OVER_KB, AnisotropyParams, FieldVector, SpinSystem
 from . import writers
@@ -114,11 +121,9 @@ def _grid(text: str) -> tuple[int, int]:
 
 def _temps(text: str) -> tuple[float, ...]:
     try:
-        temps = tuple(float(part) for part in text.split(","))
+        temps = tuple(_checked_temperature(float(part)) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if any(not 0.0 < t < np.inf for t in temps):
-        raise argparse.ArgumentTypeError(f"needs positive finite values, got {text!r}")
     if len(set(temps)) != len(temps):
         raise argparse.ArgumentTypeError(f"lists a temperature twice, got {text!r}")
     return temps
@@ -160,32 +165,20 @@ def _r_params(text: str) -> dict[str, float]:
     return out
 
 
-def _resolve_compound(args: argparse.Namespace) -> Compound | None:
-    if getattr(args, "compound", None) and getattr(args, "compound_file", None):
-        raise CliError("give either --compound or --compound-file, not both")
-    if getattr(args, "compound", None):
-        try:
-            return lookup(args.compound)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from None
-    if getattr(args, "compound_file", None):
-        path = Path(args.compound_file)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from None
-        try:
-            return load_compound(text)
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from None
-    return None
+def _compound_id(text: str) -> Compound:
+    try:
+        return lookup(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
-def _require_compound(args: argparse.Namespace) -> Compound:
-    compound = _resolve_compound(args)
-    if compound is None:
-        raise CliError("this command needs --compound or --compound-file")
-    return compound
+def _compound_file(text: str) -> Compound:
+    try:
+        return load_compound(Path(text).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {text}: {exc}") from None
+    except ValueError as exc:  # a malformed file, or one that is not UTF-8
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
 
 
 def _scaled(value: float | tuple[float, float], factor: float) -> float | tuple[float, float]:
@@ -194,12 +187,6 @@ def _scaled(value: float | tuple[float, float], factor: float) -> float | tuple[
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
-
-
-def _out_path(args: argparse.Namespace) -> Path:
-    if not args.out:
-        raise CliError("--out is required")
-    return Path(args.out)
 
 
 def _compound_settings(compound: Compound) -> list[tuple[str, str]]:
@@ -211,10 +198,18 @@ def _reduced_settings(rp: ReducedParams) -> list[tuple[str, str]]:
     return [(name, repr(getattr(rp, name))) for name in (*_R_NAMES, "offset")]
 
 
-def _reduced_from_args(
-    args: argparse.Namespace, compound: Compound | None, swept: Sequence[str] = ()
-) -> ReducedParams:
-    """Fixed reduced parameters from compound, fixed fields, and overrides.
+def _reduced_head(args: argparse.Namespace, rp: ReducedParams) -> list[tuple[str, str]]:
+    """The settings potential and separatrix write first.
+
+    These are the compound's settings (two_s alone without a compound),
+    then r1..r5 and offset.
+    """
+    head = _compound_settings(args.compound) if args.compound else [("two_s", str(rp.system.two_s))]
+    return head + _reduced_settings(rp)
+
+
+def _reduced_from_args(args: argparse.Namespace, swept: Sequence[str] = ()) -> ReducedParams:
+    """Fixed reduced parameters from the compound, fixed fields, and overrides.
 
     swept names the axes the command sweeps, each over its range flag
     in ``_RANGE_FLAG``. Every flag that sets one of r1..r5 is counted
@@ -235,7 +230,7 @@ def _reduced_from_args(
             raise CliError(f"{owners[0]} and {owners[1]} both set {axis}; give one")
     # potential and separatrix leave --bx and --bz at None unless they are given
     field = FieldVector(**{flag: given[flag] for flag in _FIELD_FLAG.values() if given.get(flag) is not None})
-    two_s = given.get("two_s")
+    compound, two_s = args.compound, given.get("two_s")
     if compound is not None and two_s is not None:
         raise CliError("--two-s cannot be set: the compound fixes 2S")
     # without a compound, 2S is --two-s (10 by default) and the anisotropy is zero
@@ -250,14 +245,13 @@ def _reduced_from_args(
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
-    compound = _require_compound(args)
+    compound = args.compound
     lo, hi = args.bz_range
-    n, bx, by = args.grid, args.bx, args.by
-    out = _out_path(args)
+    n, bx, by, out = args.grid, args.bx, args.by, args.out
     if by != 0.0 and args.r_params is not None:
         raise CliError("--r-params only sets the .crossings sidecar, which needs --by 0")
     # the sidecar's parameters are checked before anything is diagonalised
-    rp = _reduced_from_args(args, compound, ("r2",)) if by == 0.0 else None
+    rp = _reduced_from_args(args, ("r2",)) if by == 0.0 else None
 
     system, aniso = compound.system, compound.aniso
     bz_values = np.linspace(lo, hi, n)
@@ -289,10 +283,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[_Table]:
 
 
 def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
-    compound = _resolve_compound(args)
-    rp = _reduced_from_args(args, compound)
-    n = args.grid
-    out = _out_path(args)
+    rp = _reduced_from_args(args)
+    n, out = args.grid, args.out
 
     thetas = np.linspace(0.0, np.pi, n)
     v_plus = potential_reduced(thetas, rp, branch=1)
@@ -302,8 +294,7 @@ def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
         for t, vp, vm in zip(thetas, np.atleast_1d(v_plus), np.atleast_1d(v_minus))
     ]
 
-    settings = (_compound_settings(compound) if compound else [("two_s", str(rp.system.two_s))])
-    settings += _reduced_settings(rp) + [("grid", str(n))]
+    settings = _reduced_head(args, rp) + [("grid", str(n))]
     script = writers.gnuplot_lines_script(out.name, 2, "reduced potential")
     return [_Table(out, "potential", settings, ["theta", "v_plus", "v_minus"], rows, script)]
 
@@ -312,10 +303,8 @@ def _cmd_potential(args: argparse.Namespace) -> list[_Table]:
 
 
 def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
-    compound = _resolve_compound(args)
     names, swept = zip(*args.axes)
-    rp = _reduced_from_args(args, compound, swept)
-    out = _out_path(args)
+    rp = _reduced_from_args(args, swept)
     ranges = [getattr(args, _RANGE_FLAG[axis]) for axis in swept]
     n1, n2 = args.grid
 
@@ -335,8 +324,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
             for v, (a1, a2) in enumerate(line):
                 rows.append([kind, p, v, float(a1), float(a2)])
 
-    settings = (_compound_settings(compound) if compound else [("two_s", str(rp.system.two_s))])
-    settings += _reduced_settings(rp) + [
+    settings = _reduced_head(args, rp) + [
         ("axis1", names[0]),
         ("axis2", names[1]),
         ("range1", f"{ranges[0][0]!r}:{ranges[0][1]!r}"),
@@ -344,8 +332,8 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
         ("grid", f"{n1}x{n2}"),
     ]
     columns = ["kind", "polyline", "vertex", names[0], names[1]]
-    script = writers.gnuplot_separatrix_script(out.name, "separatrix")
-    return [_Table(out, "separatrix", settings, columns, rows, script)]
+    script = writers.gnuplot_separatrix_script(args.out.name, "separatrix")
+    return [_Table(args.out, "separatrix", settings, columns, rows, script)]
 
 
 # ------------------------------------------------------------ (bz, bx) maps
@@ -361,8 +349,7 @@ def _map_tables(
     values) for each map: the file is --out with the tag added to its
     stem, and values[i, j] belongs to (bz[i], bx[j]).
     """
-    compound = _require_compound(args)
-    out = _out_path(args)
+    compound, out = args.compound, args.out
     (z_lo, z_hi), (x_lo, x_hi), (n_z, n_x) = args.bz_range, args.bx_range, args.grid
     bz, bx = np.linspace(z_lo, z_hi, n_z), np.linspace(x_lo, x_hi, n_x)
     window = [
@@ -416,12 +403,7 @@ def _cmd_compounds(args: argparse.Namespace) -> list[_Table]:
     if given:
         raise CliError(f"{' and '.join(given)} cannot be set: --export writes key=value text; the listing prints")
     if args.export:
-        try:
-            compound = lookup(args.export)
-        except KeyError as exc:
-            raise CliError(str(exc.args[0])) from None
-        out = _out_path(args)
-        out.write_text(dump_compound(compound), encoding="utf-8", newline="\n")
+        args.out.write_text(dump_compound(args.export), encoding="utf-8", newline="\n")
         return []
 
     fmt = "{:<12} {:>3} {:>9} {:>8} {:>12} {:>12} {:>8} {:>12}  {}"
@@ -443,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     building it at import keeps it out of the start-up time.
     """
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", help="output file path (required except for the compounds listing)")
+    output.add_argument("--out", type=Path, help="output file path (required except for the compounds listing)")
     # None, not csv: compounds refuses --format even when it names csv
     output.add_argument("--format", choices=("csv", "json"), help="output format (default: csv)")
     output.add_argument(
@@ -451,19 +433,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also write a gnuplot script per csv file (its name with the --out suffix swapped for .gp)",
     )
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--compound", help="id of a built-in parameter set (see the compounds command)")
-    source.add_argument("--compound-file", help="path to a key=value parameter file")
-    source.add_argument(
-        "--tesla",
-        action="store_true",
-        help="field inputs are tesla instead of kelvin (times mu_B/k_B, about 0.6717 K/T)",
-    )
+    # spectrum and the maps need a compound; potential and separatrix fall back to --two-s
+    optional, required = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    for source in (optional, required):
+        compound = source.add_mutually_exclusive_group(required=source is required)
+        compound.add_argument("--compound", type=_compound_id, help="id of a built-in parameter set (see compounds)")
+        compound.add_argument("--compound-file", dest="compound", type=_compound_file, metavar="PATH",
+                              help="path to a key=value parameter file")
+        source.add_argument(
+            "--tesla",
+            action="store_true",
+            help="field inputs are tesla instead of kelvin (times mu_B/k_B, about 0.6717 K/T)",
+        )
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
     window.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
     window.add_argument("--grid", type=_grid, default="101", help="grid resolution N or NzxNx")
     window.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
+    reduced = argparse.ArgumentParser(add_help=False)
+    reduced.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
+    reduced.add_argument("--bx", type=float, help="fixed transverse field unless bx is swept (kelvin, default 0)")
+    reduced.add_argument("--bz", type=float, help="fixed axial field unless bz is swept (kelvin, default 0)")
+    reduced.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
 
     parser = argparse.ArgumentParser(
         prog="spinscape",
@@ -475,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    shared, maps = [source, output], [source, window, output]
+    shared, planes, maps = [required, output], [optional, reduced, output], [required, window, output]
 
     p = sub.add_parser("spectrum", parents=shared, help="energy levels along an axial-field sweep")
     p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field (kelvin)")
@@ -485,23 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-params", type=_r_params, help="override reduced parameters for the sidecar (--by 0)")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("potential", parents=shared, help="reduced polar potential on a theta grid")
-    p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
-    p.add_argument("--bx", type=float, help="transverse field (kelvin, default 0)")
-    p.add_argument("--bz", type=float, help="axial field (kelvin, default 0)")
-    p.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
+    p = sub.add_parser("potential", parents=planes, help="reduced polar potential on a theta grid")
     p.add_argument("--grid", type=_count, default="721", help="number of theta samples on [0, pi]")
     p.set_defaults(handler=_cmd_potential)
 
-    p = sub.add_parser("separatrix", parents=shared, help="transition curves in a two-parameter window")
-    p.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
+    p = sub.add_parser("separatrix", parents=planes, help="transition curves in a two-parameter window")
     p.add_argument("--axes", type=_axes, default="bz,r3", help="the two swept axes, e.g. bz,r3 or bz,bx")
-    p.add_argument("--bx", type=float, help="fixed transverse field when bx is not swept (default 0)")
-    p.add_argument("--bz", type=float, help="fixed axial field when bz is not swept (default 0)")
     for dest in _RANGE_FLAG.values():
         name = dest.removesuffix("_range")
         p.add_argument(_flag(dest), type=_range, help=f"window for a swept {name} axis, LO:HI")
-    p.add_argument("--r-params", type=_r_params, help="override fixed reduced parameters")
     p.add_argument("--grid", type=_grid, default="200", help="grid resolution N or N1xN2")
     p.set_defaults(handler=_cmd_separatrix)
 
@@ -516,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_heatcap_map)
 
     p = sub.add_parser("compounds", parents=[output], help="list built-in parameter sets or export one")
-    p.add_argument("--export", metavar="ID", help="write this compound as a key=value file")
+    p.add_argument("--export", metavar="ID", type=_compound_id, help="write this compound as a key=value file")
     p.set_defaults(handler=_cmd_compounds)
 
     return parser
@@ -535,6 +518,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is not None:
                 setattr(args, flag, _scaled(value, MU_B_OVER_KB))
     try:
+        # every command writes --out but the compounds listing, which has no --export
+        if args.out is None and getattr(args, "export", True):
+            raise CliError("--out is required")
         if args.plot_script and args.format == "json":
             raise CliError("--plot-script cannot be set: a gnuplot script reads csv, not --format json")
         # every table is computed before the first file is written
@@ -544,7 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.plot_script and table.plot_script is not None:
                 # each script is named after its own data file: --out hc with
                 # two temperatures writes hc-T0.05.gp and hc-T0.07.gp
-                script = table.path.name.removesuffix(Path(args.out).suffix) + ".gp"
+                script = table.path.name.removesuffix(args.out.suffix) + ".gp"
                 table.path.with_name(script).write_text(table.plot_script, encoding="utf-8", newline="\n")
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

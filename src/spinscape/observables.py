@@ -222,10 +222,21 @@ def fidelity_map(
     return FidelityMap(bz_values=bz, bx_values=bx, values=out.reshape(bz.size, bx.size), d=d, axis=axis)
 
 
+#: the lowest temperature: below 2**-511 (about 1.49e-154 K) t*t, the heat
+#: capacity's denominator, is no longer a normal float and soon underflows to 0
+T_MIN = math.sqrt(np.finfo(float).tiny)
+
+
+def _checked_temperature(t: float) -> float:
+    """t, if it is finite and at least T_MIN; otherwise a ValueError stating the bound."""
+    if not (T_MIN <= t < math.inf):
+        raise ValueError(f"temperature must be finite and at least {T_MIN!r} K, got {t!r}")
+    return t
+
+
 def _moments(levels: npt.NDArray[np.float64], t: float) -> tuple[npt.NDArray[np.float64], ...]:
     """(e0, z, mean, var) of the levels shifted by their minimum e0, over the last axis."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"temperature must be positive and finite, got {t!r}")
+    _checked_temperature(t)
     e0 = np.min(levels, axis=-1)
     shifted = levels - e0[..., None]
     weights = np.exp(-shifted / t)

@@ -291,12 +291,15 @@ def test_compounds_refuses_the_flags_it_ignores(tmp_path, monkeypatch, capsys, a
           "--grid", "2x3x4", "--out", "f.csv"], ("--grid", "got '2x3x4'")),
         (["heatcap-map", "--compound", "3", "--bz-range", "0:1", "--bx-range", "0:1",
           "--temps", "0.05,warm", "--out", "f.csv"], ("--temps", "'warm'")),
+        # t*t underflows below about 1.49e-154 K
+        (["heatcap-map", "--compound", "3", "--bz-range", "0:1", "--bx-range", "0:1",
+          "--temps", "1e-200", "--out", "f.csv"], ("--temps", "at least 1.49", "1e-200")),
         (["potential", "--compound-file", "../c.txt", "--out", "f.csv"], ("c.txt", "two_s")),
         (["spectrum", "--bz-range", "0:1", "--out", "f.csv"], ("--compound", "--compound-file")),
         (["potential", "--compound", "3"], ("--out",)),
     ],
-    ids=["range-not-a-number", "grid-three-counts", "temps-not-a-number", "malformed-compound-file",
-         "no-compound", "no-out"],
+    ids=["range-not-a-number", "grid-three-counts", "temps-not-a-number", "temps-too-cold",
+         "malformed-compound-file", "no-compound", "no-out"],
 )
 def test_refusals_name_the_problem(tmp_path, monkeypatch, capsys, argv, named):
     (tmp_path / "c.txt").write_text("id = x\ntwo_s = ten\n")
@@ -437,6 +440,31 @@ def test_fidelity_map_grid(tmp_path):
     assert rows[0, 1] == rows[4, 1] == 2.2
     assert rows[5, 1] == 2.21
     assert rows[0, 0] == 0.13 and rows[4, 0] == 0.15
+
+
+def test_a_compound_file_writes_what_its_id_writes(tmp_path):
+    # an exported built-in carries every field the files record, so each
+    # command writes the same bytes from --compound-file as from --compound
+    export = tmp_path / "trigonal.txt"
+    assert cli.main(["compounds", "--export", "3-trigonal", "--out", str(export)]) == 0
+    commands = {
+        "spectrum": (["--bz-range=-2:2", "--grid", "21"], {"out.csv", "out.crossings.csv"}),
+        "potential": (["--bx", "1.0", "--grid", "41"], {"out.csv"}),
+        "separatrix": (["--axes", "bz,bx", "--bz-range=-0.5:0.5", "--bx-range=1:2.4", "--grid", "16"],
+                       {"out.csv"}),
+        "fidelity-map": (["--bz-range=0:0.2", "--bx-range=2:2.2", "--grid", "5x3"], {"out.csv"}),
+        "heatcap-map": (["--bz-range=0:0.2", "--bx-range=2:2.2", "--grid", "5x3", "--temps", "0.05,0.1"],
+                        {"out-T0.05.csv", "out-T0.1.csv"}),
+    }
+    for command, (flags, names) in commands.items():
+        written = []
+        for source in (["--compound", "3-trigonal"], ["--compound-file", str(export)]):
+            d = tmp_path / f"{command}{source[0]}"
+            d.mkdir()
+            assert cli.main([command, *source, *flags, "--out", str(d / "out.csv")]) == 0, (command, source)
+            written.append({p.name: p.read_bytes() for p in d.iterdir()})
+        assert set(written[0]) == names, command
+        assert written[0] == written[1], command
 
 
 def test_heatcap_map_single_and_multi_temp(tmp_path):
@@ -657,7 +685,7 @@ def test_heatcap_map_diagonalises_each_node_once(tmp_path, monkeypatch):
         assert multi == (tmp_path / f"single-{t}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("temps", ["0.05,inf", "0.05,0.050"])
+@pytest.mark.parametrize("temps", ["0.05,inf", "0.05,0.050", "0.05,1e-200"])
 def test_heatcap_map_bad_temps_write_nothing(tmp_path, temps):
     code = cli.main([
         "heatcap-map", "--compound", "3-trigonal",

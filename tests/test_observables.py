@@ -99,6 +99,16 @@ def test_thermo_validation():
         thermo(np.array([]), 1.0)
     with pytest.raises(ValueError):
         thermo(np.zeros((2, 2)), 1.0)
+    # below T_MIN = 2**-511, t*t (the heat capacity's denominator) is no
+    # longer a normal float; at 1e-162 it underflowed to 0.0 and raised
+    # ZeroDivisionError
+    assert observables.T_MIN == 2.0**-511
+    tiny = np.finfo(float).tiny
+    assert observables.T_MIN**2 >= tiny > np.nextafter(observables.T_MIN, 0.0) ** 2
+    for t in (1e-162, np.nextafter(observables.T_MIN, 0.0)):
+        with pytest.raises(ValueError, match="at least 1.49"):
+            thermo(np.array([0.0, 1.0]), t)
+    assert thermo(np.array([0.0, 1.0]), observables.T_MIN).c == 0.0
 
 
 def test_fidelity_bounds_and_smooth_region():
@@ -149,6 +159,36 @@ def test_fidelity_map_agrees_with_pointwise():
             assert m.values[i, j] == direct
     m2 = fidelity_map(c.system, c.aniso, bz, bx, d=0.001)
     assert np.array_equal(m.values, m2.values)
+
+
+@pytest.mark.parametrize("axis, bounds", [("bz", (6e-3, 6e-4)), ("bx", (7e-4, 7e-5))])
+def test_fidelity_map_matches_the_fidelity_susceptibility(axis, bounds):
+    # Away from crossings 1 - F = (2d)^2 chi_F + O(d^4), with
+    # chi_F = sum_{n>0} |<n|dH/dlambda|0>|^2 / (E_n - E_0)^2 (Zanardi and
+    # Paunkovic, PRE 74, 031123, 2006). H is affine in the field, so
+    # dH/dlambda = g S_lambda is the difference of two Hamiltonians.
+    # Measured worst residuals: bz 4.4e-3 and 3.9e-4, bx 5.0e-4 and 4.5e-5.
+    c = lookup("3-trigonal")
+    bz, bx = np.linspace(-0.25, 0.25, 11), np.array([0.0, 0.5, 1.2, 2.3])
+    dh = build_hamiltonian(c.system, c.aniso, FieldVector(**{axis: 1.0})) - build_hamiltonian(c.system, c.aniso)
+    chi, gap = np.empty((2, bz.size, bx.size))
+    for i, z in enumerate(bz):
+        for j, x in enumerate(bx):
+            spec = eigh(build_hamiltonian(c.system, c.aniso, FieldVector(bx=x, bz=z)))
+            w, u = spec.eigenvalues, spec.eigenvectors
+            elements = u.conj().T @ dh @ u[:, 0]
+            chi[i, j] = np.sum(np.abs(elements[1:]) ** 2 / (w[1:] - w[0]) ** 2)
+            gap[i, j] = w[1] - w[0]
+    smooth = gap > 0.05
+    assert smooth.sum() == 42
+    worst = []
+    for d, bound in zip((1e-3, 3e-4), bounds):
+        expected = 4.0 * d * d * chi
+        f = fidelity_map(c.system, c.aniso, bz, bx, axis=axis, d=d).values
+        worst.append(np.max(np.abs((1.0 - f) - expected)[smooth] / expected[smooth]))
+        assert worst[-1] < bound, (d, worst[-1])
+    # the residual is O(d^2): d 10/3 times smaller cuts it about 11 times
+    assert worst[0] > 5.0 * worst[1], worst
 
 
 def test_heat_capacity_scan_matches_map_column():
@@ -211,6 +251,8 @@ def test_heatcap_map_temperature_array_equals_scalar_calls():
     assert np.array_equal(scans, maps[:, :, 1])
     with pytest.raises(ValueError):
         heatcap_map(c.system, c.aniso, bz, bx, np.array([0.05, np.inf]))
+    with pytest.raises(ValueError, match="at least 1.49"):
+        heatcap_map(c.system, c.aniso, bz, bx, np.array([0.05, 1e-200]))
 
 
 def test_fidelity_map_every_axis_matches_column_overlaps():
