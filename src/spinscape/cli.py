@@ -25,13 +25,15 @@ fixed at g = 2 in the Hamiltonian, does not enter it. Anisotropy-style
 inputs such as ``--r-params`` stay in kelvin either way.
 
 argparse converts and checks every input on its own: each range, point
-count, grid, temperature list, axis name and ``--r-params`` value, the
+count, grid, temperature list, axis name and ``--r-params`` value, each
+fixed field ``--bx``, ``--by`` or ``--bz`` (which must be finite), the
 compound from ``--compound`` or ``--compound-file`` (which exclude each
 other), and the ``--out`` path are argparse ``type=`` values, so a
 handler receives them typed, and a bad one exits 2 naming its flag
-before anything is computed. What needs several flags at once is
-checked after parsing: ``main`` requires ``--out`` once for every
-command that writes a file, and ``_reduced_from_args`` owns r1..r5.
+before anything is computed. What needs several flags at once, or the
+file system, is checked after parsing and before any work: ``main``
+requires ``--out`` once for every command that writes a file, and its
+directory to exist, and ``_reduced_from_args`` owns r1..r5.
 Each reduced parameter has at most one owner: the range flag of an axis
 the command sweeps, ``--bx`` or ``--bz``, or an ``--r-params`` key, and
 a parameter given two owners exits 2 naming both flags.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -86,6 +89,16 @@ class _Table(NamedTuple):
 
 
 # argparse type= converters; argparse names the flag in their error messages.
+
+
+def _field(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _range(text: str) -> tuple[float, float]:
@@ -332,7 +345,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> list[_Table]:
         ("grid", f"{n1}x{n2}"),
     ]
     columns = ["kind", "polyline", "vertex", names[0], names[1]]
-    script = writers.gnuplot_separatrix_script(args.out.name, "separatrix")
+    script = writers.gnuplot_separatrix_script(args.out.name, "separatrix", KINDS)
     return [_Table(args.out, "separatrix", settings, columns, rows, script)]
 
 
@@ -449,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--bz-range", type=_range, required=True, help="axial window LO:HI")
     window.add_argument("--bx-range", type=_range, required=True, help="transverse window LO:HI")
     window.add_argument("--grid", type=_grid, default="101", help="grid resolution N or NzxNx")
-    window.add_argument("--by", type=float, default=0.0, help="fixed out-of-plane field (kelvin)")
+    window.add_argument("--by", type=_field, default=0.0, help="fixed out-of-plane field (kelvin)")
     reduced = argparse.ArgumentParser(add_help=False)
     reduced.add_argument("--two-s", type=int, help="2S when no compound is given (default 10)")
-    reduced.add_argument("--bx", type=float, help="fixed transverse field unless bx is swept (kelvin, default 0)")
-    reduced.add_argument("--bz", type=float, help="fixed axial field unless bz is swept (kelvin, default 0)")
+    reduced.add_argument("--bx", type=_field, help="fixed transverse field unless bx is swept (kelvin, default 0)")
+    reduced.add_argument("--bz", type=_field, help="fixed axial field unless bz is swept (kelvin, default 0)")
     reduced.add_argument("--r-params", type=_r_params, help="set reduced parameters, e.g. r3=-0.679,r4=0.0008")
 
     parser = argparse.ArgumentParser(
@@ -469,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared, planes, maps = [required, output], [optional, reduced, output], [required, window, output]
 
     p = sub.add_parser("spectrum", parents=shared, help="energy levels along an axial-field sweep")
-    p.add_argument("--bx", type=float, default=0.0, help="fixed transverse field (kelvin)")
-    p.add_argument("--by", type=float, default=0.0, help="fixed transverse field (kelvin)")
+    p.add_argument("--bx", type=_field, default=0.0, help="fixed transverse field (kelvin)")
+    p.add_argument("--by", type=_field, default=0.0, help="fixed transverse field (kelvin)")
     p.add_argument("--bz-range", type=_range, required=True, help="axial sweep window LO:HI")
     p.add_argument("--grid", type=_count, default="201", help="number of sweep points")
     p.add_argument("--r-params", type=_r_params, help="override reduced parameters for the sidecar (--by 0)")
@@ -521,6 +534,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # every command writes --out but the compounds listing, which has no --export
         if args.out is None and getattr(args, "export", True):
             raise CliError("--out is required")
+        if args.out is not None and not args.out.parent.is_dir():
+            raise CliError(f"--out {args.out}: {args.out.parent} is not a directory")
         if args.plot_script and args.format == "json":
             raise CliError("--plot-script cannot be set: a gnuplot script reads csv, not --format json")
         # every table is computed before the first file is written

@@ -129,8 +129,15 @@ def spectra(
     stack nor its thread. An error raised in the helper's stacks is raised
     here with its type and message, and the helper has always finished
     when this returns.
+
+    Raises:
+        ValueError: if a field component is not finite, before any
+            matrix is built.
     """
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
+    for name, b in (("bx", bx), ("by", by), ("bz", bz)):
+        if not np.isfinite(b).all():
+            raise ValueError(f"{name} must be finite")
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
     ground = np.empty((n, dim), dtype=np.complex128) if vectors else None

@@ -15,28 +15,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .separatrix import KINDS
-
 Cell = Any
 Row = Sequence[Cell]
 
 
-def format_cell(value: Cell) -> str:
-    # Rows come from ndarray.tolist(), so nearly every cell is a plain float.
-    if type(value) is float:
-        return repr(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    raise TypeError(f"unsupported cell type {type(value).__name__}")
-
-
-def _json_cell(value: Cell) -> Any:
+def _plain(value: Cell) -> str | bool | int | float:
+    """The str, bool, int or float that a table cell holds."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -44,10 +28,24 @@ def _json_cell(value: Cell) -> Any:
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        # strict JSON has no NaN/Infinity literal; represent them as null
-        f = float(value)
-        return f if math.isfinite(f) else None
+        return float(value)
     raise TypeError(f"unsupported cell type {type(value).__name__}")
+
+
+def format_cell(value: Cell) -> str:
+    # Rows come from ndarray.tolist(), so nearly every cell is a plain float.
+    if type(value) is float:
+        return repr(value)
+    value = _plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def _json_cell(value: Cell) -> Any:
+    value = _plain(value)
+    # strict JSON has no NaN/Infinity literal; represent them as null
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def write_csv(
@@ -97,37 +95,28 @@ def write_table(
         raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _gnuplot(title: str, *body: str) -> str:
+    """A gnuplot script that reads csv: the title, the body lines, then a pause."""
+    lines = ("set datafile separator ','", f"set title '{title}'", *body, "pause -1")
+    return "".join(line + "\n" for line in lines)
+
+
 def gnuplot_lines_script(data_path: str, n_value_columns: int, title: str) -> str:
     """Plot script for a table whose columns 2..n are curves over column 1."""
-    return (
-        "set datafile separator ','\n"
-        f"set title '{title}'\n"
-        "set key outside\n"
-        f"plot for [i=2:{n_value_columns + 1}] '{data_path}' using 1:i with lines title columnheader(i)\n"
-        "pause -1\n"
-    )
+    plot = f"plot for [i=2:{n_value_columns + 1}] '{data_path}' using 1:i with lines title columnheader(i)"
+    return _gnuplot(title, "set key outside", plot)
 
 
 def gnuplot_map_script(data_path: str, title: str) -> str:
     """Plot script for (x, y, value) scatter tables."""
-    return (
-        "set datafile separator ','\n"
-        f"set title '{title}'\n"
-        "set palette rgbformulae 22,13,-31\n"
-        f"plot '{data_path}' using 1:2:3 with points pt 5 ps 0.6 palette notitle\n"
-        "pause -1\n"
-    )
+    plot = f"plot '{data_path}' using 1:2:3 with points pt 5 ps 0.6 palette notitle"
+    return _gnuplot(title, "set palette rgbformulae 22,13,-31", plot)
 
 
-def gnuplot_separatrix_script(data_path: str, title: str) -> str:
-    """Plot script for the kind-tagged polyline tables."""
+def gnuplot_separatrix_script(data_path: str, title: str, kinds: Sequence[str]) -> str:
+    """Plot script for the kind-tagged polyline tables, one point set per kind."""
     parts = [
         f"'{data_path}' using (strcol(1) eq '{kind}' ? $4 : NaN):5 with points pt 7 ps 0.4 title '{kind}'"
-        for kind in KINDS
+        for kind in kinds
     ]
-    return (
-        "set datafile separator ','\n"
-        f"set title '{title}'\n"
-        "plot " + ", \\\n     ".join(parts) + "\n"
-        "pause -1\n"
-    )
+    return _gnuplot(title, "plot " + ", \\\n     ".join(parts))

@@ -205,6 +205,17 @@ _SET_TWICE = {
 }
 
 
+def _refuse_work(monkeypatch):
+    """Make every landscape and diagonalisation raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the flags were checked")
+
+    # the one stationary-point kernel behind every landscape
+    monkeypatch.setattr(landscape, "_stationary", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
 @pytest.mark.parametrize(
     "argv, code, sweep",
     [
@@ -244,16 +255,10 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, code
     # a command writes its files only once all of its tables are computed;
     # a configuration error (exit 2) stops it before any landscape or
     # diagonalisation
-    def refuse(*args, **kwargs):
-        raise AssertionError("computed before the flags were checked")
-
     if sweep is not None:
         monkeypatch.setattr(cli, "sweep_crossings", sweep)
     if code == 2:
-        # the one stationary-point kernel behind every landscape
-        monkeypatch.setattr(landscape, "_stationary", refuse)
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        _refuse_work(monkeypatch)
     assert cli.main(argv + ["--plot-script", "--out", str(tmp_path / "f.csv")]) == code
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
@@ -402,12 +407,39 @@ def test_missing_required_flag_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_unwritable_output_path(tmp_path):
-    code = cli.main([
-        "potential", "--compound", "3",
-        "--out", str(tmp_path / "no" / "such" / "dir" / "v.csv"),
-    ])
-    assert code == 2
+def test_unwritable_output_path(tmp_path, monkeypatch, capsys):
+    # a missing directory is found before the table is computed
+    _refuse_work(monkeypatch)
+    for argv in (["potential", "--compound", "3"], ["compounds", "--export", "3"]):
+        code = cli.main(argv + ["--out", str(tmp_path / "no" / "such" / "dir" / "v.csv")])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_FIELD_FLAGS = {
+    "spectrum": (_SPECTRUM, ("--bx", "--by")),
+    "potential": (["potential", "--compound", "3", "--grid", "5"], ("--bx", "--bz")),
+    "separatrix": (_SEPARATRIX + ["--axes", "bz,r3", "--r3-range", "0:1"], ("--bx", "--bz")),
+    "fidelity-map": (["fidelity-map", "--compound", "3", "--bz-range", "0:0.1", "--bx-range", "0:0.1",
+                      "--grid", "3x3"], ("--by",)),
+    "heatcap-map": (["heatcap-map", "--compound", "3", "--bz-range", "0:0.1", "--bx-range", "0:0.1",
+                     "--grid", "3x3", "--temps", "0.1"], ("--by",)),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, flags) in _FIELD_FLAGS.items() for flag in flags],
+)
+def test_a_non_finite_field_flag_is_refused_by_name(tmp_path, monkeypatch, capsys, command, flag, value):
+    _refuse_work(monkeypatch)
+    argv = _FIELD_FLAGS[command][0] + [f"{flag}={value}", "--plot-script", "--out", str(tmp_path / "f.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):

@@ -239,6 +239,23 @@ def test_spectra_grid_with_by_equals_pointwise():
             assert np.array_equal(ground[i, j], spec.eigenvectors[:, 0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["bx", "by", "bz"])
+def test_spectra_refuses_a_non_finite_field_before_building(monkeypatch, name, value):
+    # inf * 0 in the field term would be nan, with a RuntimeWarning
+    def refuse(*args):
+        raise AssertionError("built a matrix for a non-finite field")
+
+    monkeypatch.setattr(observables, "_assemble", refuse)
+    c = lookup("3-trigonal")
+    field = {"bx": 0.5, "by": 0.0, "bz": np.array([0.0, 0.1, 0.2])}
+    field[name] = np.array([0.1, 0.1, value])
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        spectra(c.system, c.aniso, **field, vectors=False)
+    with pytest.raises(ValueError, match="^by must be finite$"):
+        heatcap_map(c.system, c.aniso, [0.0], [0.0], [0.1], by=value)
+
+
 def test_heatcap_map_temperature_array_equals_scalar_calls():
     c = lookup("3-trigonal")
     bz = np.linspace(-0.2, 0.5, 5)

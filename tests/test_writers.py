@@ -1,14 +1,17 @@
 """Deterministic table output."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from spinscape.writers import (
+    _json_cell,
     format_cell,
     gnuplot_lines_script,
     gnuplot_map_script,
+    gnuplot_separatrix_script,
     write_csv,
     write_json,
     write_table,
@@ -46,19 +49,44 @@ def _format_cell_reference(value):
     raise TypeError(f"unsupported cell type {type(value).__name__}")
 
 
+_CELLS = [
+    0.1, -0.0, 1e-300, 699.123456789012, float("inf"), float("nan"),
+    np.float64(0.1), np.float64(-2.5e-17), np.float32(0.1), np.float32(3.0),
+    7, -3, np.int64(42), np.int32(-1),
+    True, False, np.bool_(True), np.bool_(False),
+    "label", "",
+]
+
+
 def test_format_cell_every_cell_type_as_before():
-    cells = [
-        0.1, -0.0, 1e-300, 699.123456789012, float("inf"), float("nan"),
-        np.float64(0.1), np.float64(-2.5e-17), np.float32(0.1), np.float32(3.0),
-        7, -3, np.int64(42), np.int32(-1),
-        True, False, np.bool_(True), np.bool_(False),
-        "label", "",
-    ]
-    for value in cells:
+    for value in _CELLS:
         assert format_cell(value) == _format_cell_reference(value), repr(value)
     assert format_cell(np.float32(0.1)) == "0.10000000149011612"
     assert format_cell(np.bool_(True)) == "true"
     assert format_cell(np.int64(42)) == "42"
+
+
+def _json_cell_reference(value):
+    """_json_cell as it was when it had its own cell-type ladder."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        return f if math.isfinite(f) else None
+    raise TypeError(f"unsupported cell type {type(value).__name__}")
+
+
+def test_json_cell_every_cell_type_as_before():
+    for value in _CELLS + [np.float64("-inf"), np.float32("nan")]:
+        got, want = _json_cell(value), _json_cell_reference(value)
+        assert type(got) is type(want) and json.dumps(got) == json.dumps(want), repr(value)
+    assert _json_cell(np.float32(0.1)) == 0.10000000149011612
+    with pytest.raises(TypeError, match="object"):
+        _json_cell(object())
 
 
 def test_csv_layout(tmp_path):
@@ -108,3 +136,10 @@ def test_gnuplot_snippets():
     assert "using 1:i" in s
     m = gnuplot_map_script("map.csv", "fidelity")
     assert "using 1:2:3" in m
+    # the kind names are the caller's; writers knows none of its own
+    sep = gnuplot_separatrix_script("sep.csv", "curves", ["fold", "cusp"]).splitlines()
+    assert sep[1] == "set title 'curves'"
+    assert sep[2].startswith("plot 'sep.csv'") and sep[2].endswith("title 'fold', \\")
+    assert sep[3].endswith("title 'cusp'") and sep[4] == "pause -1"
+    for script in (s, m):
+        assert script.startswith("set datafile separator ','\n") and script.endswith("\npause -1\n")
