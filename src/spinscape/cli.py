@@ -32,8 +32,9 @@ other), and the ``--out`` path are argparse ``type=`` values, so a
 handler receives them typed, and a bad one exits 2 naming its flag
 before anything is computed. What needs several flags at once, or the
 file system, is checked after parsing and before any work: ``main``
-requires ``--out`` once for every command that writes a file, and its
-directory to exist, and ``_reduced_from_args`` owns r1..r5.
+requires ``--out`` once for every command that writes a file, its
+directory to exist and the path not to be a directory, and
+``_reduced_from_args`` owns r1..r5.
 Each reduced parameter has at most one owner: the range flag of an axis
 the command sweeps, ``--bx`` or ``--bz``, or an ``--r-params`` key, and
 a parameter given two owners exits 2 naming both flags.
@@ -536,6 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise CliError("--out is required")
         if args.out is not None and not args.out.parent.is_dir():
             raise CliError(f"--out {args.out}: {args.out.parent} is not a directory")
+        if args.out is not None and args.out.is_dir():
+            raise CliError(f"--out {args.out} is a directory, not a file")
         if args.plot_script and args.format == "json":
             raise CliError("--plot-script cannot be set: a gnuplot script reads csv, not --format json")
         # every table is computed before the first file is written

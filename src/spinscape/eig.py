@@ -71,6 +71,15 @@ def eigh_stack(
     does not depend on the rest of the stack. With ``vectors=False`` only
     the eigenvalues are computed (``np.linalg.eigvalsh``) and v is None.
     """
+    w, v = _checked_eigh(h, vectors=vectors)
+    return w, None if v is None else _phase_fixed(v)
+
+
+def _checked_eigh(
+    h: npt.ArrayLike, *, vectors: bool
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64] | npt.NDArray[np.complex128] | None]:
+    """:func:`eigh_stack`'s checks and LAPACK solve, without the phase rule:
+    v is float64 for a stack solved wholly in real arithmetic."""
     h = np.asarray(h)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -112,16 +121,22 @@ def eigh_stack(
         raise ConvergenceError(
             f"eigendecomposition failed to converge for dimension {n}: {exc}"
         ) from exc
-    if not vectors:
-        return w, None
+    return w, v
 
-    # Fix each eigenvector's global phase: rotate so the component of
-    # largest magnitude is real and positive. argmax takes the first
-    # maximum, which settles ties by lowest index; columns have unit norm,
-    # so the pivot is nonzero. np.hypot rounds like abs() of a complex
-    # scalar, where np.abs of a complex array differs in the last bit.
+
+def _phase_fixed(v: npt.NDArray[np.float64] | npt.NDArray[np.complex128]) -> npt.NDArray[np.complex128]:
+    """Eigenvector columns (..., n, k) rotated so that each one's component
+    of largest magnitude is real and positive, as complex128. Each column
+    is rotated on its own, so a slice of columns gets the same bits as
+    those columns of the whole.
+
+    argmax takes the first maximum, which settles ties by lowest index;
+    columns have unit norm, so the pivot is nonzero. np.hypot rounds like
+    abs() of a complex scalar, where np.abs of a complex array differs in
+    the last bit.
+    """
     v = v.astype(np.complex128, copy=False)
     k = np.argmax(np.abs(v), axis=-2)[..., None, :]
     pivot = np.take_along_axis(v, k, axis=-2)
-    return w, v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 

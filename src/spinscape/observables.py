@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .eig import Spectrum, eigh_stack
-from .spin import AnisotropyParams, FieldVector, SpinSystem, _assemble, _field_free_terms
+from .eig import Spectrum, _checked_eigh, _phase_fixed
+from .spin import AnisotropyParams, FieldVector, SpinSystem, _assemble, _field_arrays, _field_free_terms
 
 
 @dataclass(frozen=True)
@@ -71,28 +71,40 @@ class ThermoPoint:
 #: temporaries and added ~0.9 MB to peak memory on a 101x21 fidelity map
 #: at dimension 11.
 #:
-#: spectra hands every second stack of an eigenvalue-only call
-#: (``vectors=False``) to one helper thread when the process may run on
-#: two or more CPUs, and such a stack then holds at least ``_STACK_MIN``
+#: spectra hands every second stack to one helper thread when the process
+#: may run on two or more CPUs and the call either wants eigenvalues only
+#: (``vectors=False``) or has matrices of dimension at most
+#: ``_NO_LEVEL3_DIM``. Such a stack then holds at least ``_STACK_MIN``
 #: matrices, which overrides the budget above dimension 36 for a real H
 #: and above 26 for a complex one: at 2S = 60 a real stack holds 24
-#: matrices (714 KB), not 8. numpy's eigvalsh lets the other thread run
-#: only on a call of more than ~500 eigenvalues in all (one BLAS thread,
-#: dimensions 11 to 61: 8 matrices of dimension 61 or 32 of dimension 11
-#: held the GIL, 12 or 48 released it). With 24, every full stack of
-#: every dimension up to 64 holds at least 624 eigenvalues. A 1001-point
-#: sweep at 2S = 60 (2-vCPU Xeon VM, numpy 2.4.6, OpenBLAS) took 171 ms
-#: on one thread, 202 ms on two with 8 matrices per stack, 100-108 ms
-#: with 12 to 24 and 120 ms with 32.
+#: matrices (714 KB), not 8. With eigenvectors the floor never binds, as
+#: 256 KiB holds at least 26 complex matrices up to dimension 25. numpy's
+#: eigvalsh lets the other thread run only on a call of more than ~500
+#: eigenvalues in all (one BLAS thread, dimensions 11 to 61: 8 matrices of
+#: dimension 61 or 32 of dimension 11 held the GIL, 12 or 48 released it).
+#: With 24, every full stack of every dimension up to 64 holds at least
+#: 624 eigenvalues. A 1001-point sweep at 2S = 60 (2-vCPU Xeon VM, numpy
+#: 2.4.6, OpenBLAS) took 171 ms on one thread, 202 ms on two with 8
+#: matrices per stack, 100-108 ms with 12 to 24 and 120 ms with 32.
 #:
-#: Calls with eigenvectors stay on the calling thread: eigh runs
-#: multithreaded BLAS, which a second caller oversubscribes. At OpenBLAS's
-#: default thread count, 1818 points at 2S = 60 took 1085-1150 ms on two
-#: threads against 623-706 ms on one (eigenvalues only: 214-226 against
-#: 310-349 ms). On one CPU the helper gained no time and added ~2 MB (4%)
-#: to peak RSS, so the floor, which only serves the helper, is off too.
+#: On one CPU the helper gained no time and added ~2 MB (4%) to peak RSS,
+#: so the floor, which only serves the helper, is off too.
 _STACK_BYTES = 1 << 18
 _STACK_MIN = 24
+
+#: Largest dimension at which a call with eigenvectors takes the helper
+#: thread. numpy's eigh calls LAPACK's dsyevd (zheevd when H is complex).
+#: Its dstedc (zstedc) runs the QR iteration dsteqr (zsteqr) up to
+#: SMLSIZ = 25 and divide and conquer, whose merges call dgemm, above it;
+#: the back-transform dormtr (zunmtr) stays unblocked below dimension 33.
+#: So up to 25 eigh reaches no level-3 BLAS and starts no OpenBLAS thread,
+#: and two callers share two CPUs. Above it, at OpenBLAS's default thread
+#: count, a second caller oversubscribes them. spectra with eigenvectors
+#: on 1818 points, one thread against two (2-vCPU Xeon VM, default BLAS
+#: threads, median of 9): 2S = 10 29 -> 23 ms, 20 126 -> 77, 24 194 -> 106,
+#: then 25 138 -> 227, 30 190 -> 273, 60 663 -> 1029. With one BLAS thread
+#: two threads gain at every dimension, so pinned runs cannot set this.
+_NO_LEVEL3_DIM = 25
 
 
 def _usable_cpus() -> int:
@@ -120,29 +132,29 @@ def spectra(
 
     The field-free terms of H are built once per call. The points are cut
     into stacks of at most 256 KiB; each stack is assembled from those
-    terms and diagonalised by one :func:`~spinscape.eig.eigh_stack` call.
-    Without eigenvectors, on two or more usable CPUs, a stack holds at
-    least 24 matrices and, when there are two or more stacks, one helper
-    thread takes every second stack and the calling thread the others;
-    numpy's eigvalsh releases the GIL on stacks this size, so the two
-    overlap (see ``_STACK_BYTES``). A point's result depends on neither its
-    stack nor its thread. An error raised in the helper's stacks is raised
-    here with its type and message, and the helper has always finished
-    when this returns.
+    terms and diagonalised by one LAPACK call, with eigh_stack's checks,
+    and only the ground vector gets eigh's phase rule. On two or more
+    usable CPUs, for eigenvalues only or for matrices of dimension 25 or
+    less, a stack holds at least 24 matrices and, when there are two or
+    more stacks, one helper thread takes every second stack and the
+    calling thread the others. numpy releases the GIL on stacks this size,
+    and up to dimension 25 eigh calls no multithreaded BLAS, so the two
+    overlap (see ``_STACK_BYTES`` and ``_NO_LEVEL3_DIM``). Larger calls
+    with eigenvectors stay on the calling thread. A point's result depends
+    on neither its stack nor its thread. An error raised in the helper's
+    stacks is raised here with its type and message, and the helper has
+    always finished when this returns.
 
     Raises:
         ValueError: if a field component is not finite, before any
             matrix is built.
     """
-    bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
-    for name, b in (("bx", bx), ("by", by), ("bz", bz)):
-        if not np.isfinite(b).all():
-            raise ValueError(f"{name} must be finite")
+    bx, by, bz = _field_arrays(bx, by, bz)
     n, dim = bx.size, system.dim
     levels = np.empty((n, dim))
     ground = np.empty((n, dim), dtype=np.complex128) if vectors else None
     itemsize = 16 if vectors or np.any(by) else 8
-    threaded = not vectors and _usable_cpus() > 1
+    threaded = _usable_cpus() > 1 and (not vectors or dim <= _NO_LEVEL3_DIM)
     step = max(_STACK_BYTES // (itemsize * dim * dim), _STACK_MIN if threaded else 1)
     terms = _field_free_terms(system, aniso)
     stacks = [slice(lo, lo + step) for lo in range(0, n, step)]
@@ -151,9 +163,9 @@ def spectra(
         # each thread writes only the rows of its own stacks
         for part in parts:
             h = _assemble(terms, bx.flat[part], by.flat[part], bz.flat[part])
-            levels[part], v = eigh_stack(h, vectors=vectors)
+            levels[part], v = _checked_eigh(h, vectors=vectors)
             if vectors:
-                ground[part] = v[..., 0]
+                ground[part] = _phase_fixed(v[..., :1])[..., 0]
 
     if threaded and len(stacks) > 1:
         failed: list[Exception] = []

@@ -230,8 +230,27 @@ def build_hamiltonians(
     components, shaped (..., 2S+1, 2S+1); each matrix is the same to the
     last bit whatever stack it is built in. The stack is real (float64)
     when by is zero at every point and complex128 otherwise; a complex
-    stack's real part equals the real stack built with by = 0."""
-    return _assemble(_field_free_terms(system, aniso), bx, by, bz)
+    stack's real part equals the real stack built with by = 0.
+
+    Raises:
+        ValueError: if a field component is not finite, before any
+            matrix is built.
+    """
+    fields = _field_arrays(bx, by, bz)
+    return _assemble(_field_free_terms(system, aniso), *fields)
+
+
+def _field_arrays(
+    bx: npt.ArrayLike, by: npt.ArrayLike, bz: npt.ArrayLike
+) -> tuple[npt.NDArray[np.float64], ...]:
+    """bx, by and bz as float arrays broadcast to one shape; a ValueError
+    names the first component that is not finite everywhere (inf * 0 in a
+    field term would be nan)."""
+    arrays = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
+    for name, b in zip(("bx", "by", "bz"), arrays):
+        if not np.isfinite(b).all():
+            raise ValueError(f"{name} must be finite")
+    return tuple(arrays)
 
 
 class _Terms(NamedTuple):

@@ -408,13 +408,18 @@ def test_missing_required_flag_exits_2(tmp_path, capsys):
 
 
 def test_unwritable_output_path(tmp_path, monkeypatch, capsys):
-    # a missing directory is found before the table is computed
+    # a missing directory, or an --out that is a directory, is found
+    # before the table is computed
     _refuse_work(monkeypatch)
-    for argv in (["potential", "--compound", "3"], ["compounds", "--export", "3"]):
-        code = cli.main(argv + ["--out", str(tmp_path / "no" / "such" / "dir" / "v.csv")])
-        assert code == 2
-        assert "--out" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "adir").mkdir()
+    for argv in (["potential", "--compound", "3"], ["compounds", "--export", "3"],
+                 ["fidelity-map", "--compound", "3", "--bz-range", "0:0.1", "--bx-range", "0:0.1",
+                  "--grid", "3x3", "--plot-script"]):
+        for out in (tmp_path / "no" / "such" / "dir" / "v.csv", tmp_path / "adir"):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 _FIELD_FLAGS = {

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinscape import FieldVector, SpinSystem, lookup, reduce_params, sweep_crossings
+from spinscape import FieldVector, SpinSystem, heat_capacity_scan, lookup, reduce_params, sweep_crossings
 from spinscape.observables import spectra
 
 #: scaled transverse field and bz window of acceptance criteria 3 and 4
@@ -38,6 +38,24 @@ def _scaled(n):
     return SpinSystem(n), aniso, (q / q10) / (z / z10)
 
 
+def _golden_minimum(f, a, b, tol):
+    """x of the minimum of f inside the bracket [a, b], narrowed by
+    golden-section search to a width of tol."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return (a + b) / 2
+
+
 def _gap_minimum(system, aniso, bx, lo, hi):
     """bz of the minimum of E1 - E0: a coarse scan brackets it, then
     golden-section search narrows the bracket to 1e-9 of the window."""
@@ -48,19 +66,7 @@ def _gap_minimum(system, aniso, bx, lo, hi):
     nodes = np.linspace(lo, hi, 141)
     i = int(np.argmin(gap(nodes)))
     a, b = nodes[max(i - 1, 0)], nodes[min(i + 1, nodes.size - 1)]
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    gc, gd = gap(c), gap(d)
-    while b - a > 1e-9 * (hi - lo):
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - ratio * (b - a)
-            gc = gap(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + ratio * (b - a)
-            gd = gap(d)
-    return (a + b) / 2
+    return _golden_minimum(gap, a, b, 1e-9 * (hi - lo))
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +96,35 @@ def test_the_quantum_crossing_converges_on_the_maxwell_field_like_one_over_s(cro
     assert all(a > b for a, b in zip(offsets, offsets[1:])), offsets
     for (s, _, _), offset in zip(crossings, offsets):
         assert 0.08 < s * offset < 0.125, (s, offset)
+
+
+#: the heat capacity's largest value for two levels, at k_B T = 0.4168 of their gap
+SCHOTTKY_MAX = 0.4392
+
+
+@pytest.mark.parametrize(
+    "t10, band", [(0.05, (5e-5, 4e-4)), (0.02, (5e-6, 8e-5))], ids=["T10=0.05", "T10=0.02"]
+)
+def test_the_heat_capacity_double_peak_straddles_the_quantum_crossing(crossings, t10, band):
+    # measured S * (peak midpoint - gap minimum), scaled, for 2S = 10..60:
+    # 8.0e-5, 1.15e-4, 1.47e-4, 1.83e-4, 2.72e-4 at t10 = 0.05 (acceptance
+    # 4's temperature) and 1.2e-5 to 4.1e-5 at 0.02. The peaks sit where the
+    # gap is 2.4 T, so a lower T draws them in around the crossing.
+    for n, (s, _, quantum) in zip(TWO_S, crossings):
+        system, aniso, k = _scaled(n)
+        # the whole spectrum scales with the quadratic prefactor, so T does too
+        t = t10 * _prefactors(n)[0] / _prefactors(10)[0]
+
+        def heat(bz):
+            return heat_capacity_scan(system, aniso, np.atleast_1d(bz) * k, t, bx=BX * k)
+
+        # a scan 0.001 apart brackets both peaks (0.007 apart at t10 = 0.02)
+        nodes = np.linspace(quantum - 0.04, quantum + 0.04, 81)
+        c = heat(nodes)
+        peaks = [i for i in range(1, nodes.size - 1) if c[i - 1] < c[i] >= c[i + 1]]
+        assert len(peaks) == 2, (n, peaks)
+        low, high = (_golden_minimum(lambda z: -heat(z)[0], nodes[i - 1], nodes[i + 1], 1e-9) for i in peaks)
+        assert low < quantum < high, (n, low, quantum, high)
+        assert band[0] < s * ((low + high) / 2 - quantum) < band[1], (n, low, high, quantum)
+        for z in (low, high):
+            assert abs(heat(z)[0] - SCHOTTKY_MAX) < 1e-3, (n, z)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinscape import eigh
-from spinscape.eig import MAX_DIM, ConvergenceError, eigh_stack
+from spinscape.eig import MAX_DIM, ConvergenceError, _checked_eigh, _phase_fixed, eigh_stack
 
 
 def _random_hermitian(rng, n):
@@ -161,6 +161,14 @@ def test_phase_rule_matches_per_column_reference():
             spec = eigh(h)
             assert np.array_equal(spec.eigenvalues, w)
             assert np.array_equal(spec.eigenvectors, v)
+            # spectra applies the rule to the ground vector's column alone
+            _, raw = _checked_eigh(h, vectors=True)
+            assert np.array_equal(_phase_fixed(raw[:, :1]), v[:, :1])
+    for n in (1, 11, 25, 26):
+        for h in (np.stack([_random_symmetric(rng, n) for _ in range(4)]),
+                  np.stack([_random_hermitian(rng, n) for _ in range(4)])):
+            _, raw = _checked_eigh(h, vectors=True)
+            assert np.array_equal(_phase_fixed(raw[..., :1]), eigh_stack(h)[1][..., :1])
 
 
 def _random_symmetric(rng, n):

@@ -206,13 +206,13 @@ def test_spectra_sweep_longer_than_one_stack_equals_pointwise(monkeypatch):
     aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b44=-1e-6)
     bz = np.linspace(-3.0, 3.0, 41)
     stack_sizes = []
-    original = observables.eigh_stack
+    original = observables._checked_eigh
 
     def recording(h, **kwargs):
         stack_sizes.append(h.shape[0])
         return original(h, **kwargs)
 
-    monkeypatch.setattr(observables, "eigh_stack", recording)
+    monkeypatch.setattr(observables, "_checked_eigh", recording)
     levels, ground = spectra(system, aniso, 0.9, 0.0, bz)
     # 256 KiB holds 4 complex 61x61 matrices; with eigenvectors no stack
     # floor applies
@@ -318,13 +318,13 @@ def test_heatcap_map_levels_equal_per_node_eigenvalues_only(monkeypatch, by):
 def test_spectra_stack_budget_counts_the_widest_dtype(monkeypatch):
     aniso = AnisotropyParams(d=-0.3, e=0.01)
     stacks = []
-    original = observables.eigh_stack
+    original = observables._checked_eigh
 
     def recording(h, **kwargs):
         stacks.append((h.dtype, h.shape[0]))
         return original(h, **kwargs)
 
-    monkeypatch.setattr(observables, "eigh_stack", recording)
+    monkeypatch.setattr(observables, "_checked_eigh", recording)
     # eigenvalues of a real H count 8 bytes per entry; complex H or
     # eigenvectors (always complex) count 16; on two CPUs a stack of
     # eigenvalues only holds at least 24 matrices; all but the last of a
@@ -357,13 +357,13 @@ def _stack_threads(monkeypatch, cpus=2):
     the calling thread took it."""
     monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
     threads = []
-    original = observables.eigh_stack
+    original = observables._checked_eigh
 
     def recording(h, **kwargs):
         threads.append(threading.current_thread() is threading.main_thread())
         return original(h, **kwargs)
 
-    monkeypatch.setattr(observables, "eigh_stack", recording)
+    monkeypatch.setattr(observables, "_checked_eigh", recording)
     return threads
 
 
@@ -372,6 +372,10 @@ def _grid(kind):
     if kind == "2S=60 levels":
         aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b44=-1e-6)
         return SpinSystem(60), aniso, 0.9, 0.0, np.linspace(-3.0, 3.0, 73), False
+    if kind in ("2S=24 vectors", "2S=25 vectors"):
+        # dimensions 25 and 26, either side of _NO_LEVEL3_DIM: three stacks each
+        aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-5, b43=2e-5)
+        return SpinSystem(int(kind[3:5])), aniso, 0.9, 0.0, np.linspace(-2.0, 2.0, 60), True
     c = lookup("3-trigonal")
     bz = np.linspace(-0.2, 0.5, 24)[:, None]
     bx = np.linspace(1.0, 2.3, 13)
@@ -382,14 +386,17 @@ def _grid(kind):
     return c.system, c.aniso, bx, by, bz, False
 
 
-@pytest.mark.parametrize("kind", ["2S=60 levels", "fidelity grid", "mixed by grid"])
+@pytest.mark.parametrize(
+    "kind", ["2S=60 levels", "fidelity grid", "mixed by grid", "2S=24 vectors", "2S=25 vectors"]
+)
 def test_spectra_multi_stack_call_equals_pointwise(monkeypatch, kind):
     threads = _stack_threads(monkeypatch)
     system, aniso, bx, by, bz, vectors = _grid(kind)
     levels, ground = spectra(system, aniso, bx, by, bz, vectors=vectors)
-    # eigenvalue-only stacks are shared with the helper; with eigenvectors
-    # the calling thread takes them all
-    assert len(threads) >= 3 and set(threads) == ({True} if vectors else {True, False})
+    # stacks are shared with the helper unless they want eigenvectors of a
+    # dimension above 25, which the calling thread takes all of
+    shared = not vectors or system.dim <= 25
+    assert len(threads) >= 3 and set(threads) == ({True, False} if shared else {True})
     bx, by, bz = np.broadcast_arrays(bx, by, bz)
     for i in np.ndindex(bx.shape):
         h = build_hamiltonian(system, aniso, FieldVector(bx=bx[i], by=by[i], bz=bz[i]))
@@ -403,11 +410,12 @@ def test_spectra_multi_stack_call_equals_pointwise(monkeypatch, kind):
 
 
 @pytest.mark.parametrize(
-    "points, cpus, vectors, stacks",
-    [(0, 2, False, 0), (1, 2, False, 1), (270, 2, False, 1), (600, 1, False, 3), (600, 2, True, 5)],
-    ids=["no-point", "one-point", "one-stack", "one-cpu", "eigenvectors"],
+    "points, cpus, vectors, two_s, stacks",
+    [(0, 2, False, 10, 0), (1, 2, False, 10, 1), (270, 2, False, 10, 1), (600, 1, False, 10, 3),
+     (600, 1, True, 10, 5), (100, 2, True, 25, 5)],
+    ids=["no-point", "one-point", "one-stack", "one-cpu", "one-cpu-eigenvectors", "eigenvectors"],
 )
-def test_spectra_starts_no_thread(monkeypatch, points, cpus, vectors, stacks):
+def test_spectra_starts_no_thread(monkeypatch, points, cpus, vectors, two_s, stacks):
     threads = _stack_threads(monkeypatch, cpus)
 
     def refuse(*args, **kwargs):
@@ -415,17 +423,24 @@ def test_spectra_starts_no_thread(monkeypatch, points, cpus, vectors, stacks):
 
     monkeypatch.setattr(threading, "Thread", refuse)
     c = lookup("3-trigonal")
-    # 256 KiB holds 270 real or 135 complex 11x11 matrices
-    levels, ground = spectra(c.system, c.aniso, 0.9, 0.0, np.linspace(-1.0, 1.0, points), vectors=vectors)
-    assert levels.shape == (points, 11) and (ground is None) != vectors
+    # 256 KiB holds 270 real or 135 complex 11x11 matrices, and 24 complex
+    # 26x26 ones: eigenvectors of dimension 26 stay on the calling thread
+    system = c.system if two_s == 10 else SpinSystem(two_s)
+    levels, ground = spectra(system, c.aniso, 0.9, 0.0, np.linspace(-1.0, 1.0, points), vectors=vectors)
+    assert levels.shape == (points, two_s + 1) and (ground is None) != vectors
     assert threads == [True] * stacks
 
 
 @pytest.mark.parametrize("error", [ValueError, ConvergenceError])
-@pytest.mark.parametrize("where", ["helper", "caller"])
-def test_spectra_error_in_either_thread_reaches_the_caller(monkeypatch, error, where):
+@pytest.mark.parametrize(
+    "where, kind",
+    [("helper", "2S=60 levels"), ("caller", "2S=60 levels"),
+     ("helper", "fidelity grid"), ("caller", "fidelity grid")],
+    ids=["helper", "caller", "helper-eigenvectors", "caller-eigenvectors"],
+)
+def test_spectra_error_in_either_thread_reaches_the_caller(monkeypatch, error, where, kind):
     _stack_threads(monkeypatch)
-    original = observables.eigh_stack
+    original = observables._checked_eigh
     seen = []
 
     def failing(h, **kwargs):
@@ -435,8 +450,8 @@ def test_spectra_error_in_either_thread_reaches_the_caller(monkeypatch, error, w
             raise error(f"injected into the {where}")
         return original(h, **kwargs)
 
-    monkeypatch.setattr(observables, "eigh_stack", failing)
-    system, aniso, bx, by, bz, vectors = _grid("2S=60 levels")
+    monkeypatch.setattr(observables, "_checked_eigh", failing)
+    system, aniso, bx, by, bz, vectors = _grid(kind)
     before = threading.active_count()
     with pytest.raises(error, match=f"^injected into the {where}$"):
         spectra(system, aniso, bx, by, bz, vectors=vectors)
@@ -445,17 +460,19 @@ def test_spectra_error_in_either_thread_reaches_the_caller(monkeypatch, error, w
 
 
 def test_spectra_from_many_threads_at_a_short_switch_interval(monkeypatch):
-    # three callers, each with its helper, on two CPUs or fewer: every
-    # row must still come from its own point's stack
-    system, aniso, bx, by, bz, vectors = _grid("mixed by grid")
+    # three callers, each with its helper, on two CPUs or fewer, on calls
+    # for levels only and with eigenvectors: every row must still come from
+    # its own point's stack
+    calls = {kind: _grid(kind) for kind in ("mixed by grid", "fidelity grid")}
     monkeypatch.setattr(observables, "_usable_cpus", lambda: 1)
-    expected = spectra(system, aniso, bx, by, bz, vectors=vectors)
+    expected = {kind: spectra(*args[:5], vectors=args[5]) for kind, args in calls.items()}
     monkeypatch.setattr(observables, "_usable_cpus", lambda: 2)
     results = []
 
     def call():
         for _ in range(3):
-            results.append(spectra(system, aniso, bx, by, bz, vectors=vectors))
+            for kind, args in calls.items():
+                results.append((kind, spectra(*args[:5], vectors=args[5])))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -468,6 +485,10 @@ def test_spectra_from_many_threads_at_a_short_switch_interval(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert len(results) == 9
-    for levels, ground in results:
-        assert np.array_equal(levels, expected[0]) and ground is expected[1] is None
+    assert len(results) == 18
+    for kind, (levels, ground) in results:
+        assert np.array_equal(levels, expected[kind][0])
+        if calls[kind][5]:
+            assert np.array_equal(ground, expected[kind][1])
+        else:
+            assert ground is expected[kind][1] is None

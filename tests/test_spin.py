@@ -1,6 +1,7 @@
 """Spin matrices, Stevens operators, Hamiltonian assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ def test_hamiltonian_stack_equals_single_builds():
                 field = FieldVector(bx=bx[j], by=by[j], bz=bz[i, 0])
                 assert np.array_equal(h[i, j], build_hamiltonian(sys, aniso, field))
                 assert np.array_equal(h[i, j], _term_by_term_reference(sys, aniso, field))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["bx", "by", "bz"])
+def test_hamiltonian_stack_refuses_a_non_finite_field(monkeypatch, name, value):
+    # inf * 0 in a field term would be nan, with a RuntimeWarning
+    def refuse(*args):
+        raise AssertionError("built a matrix for a non-finite field")
+
+    monkeypatch.setattr(spin, "_assemble", refuse)
+    aniso = AnisotropyParams(d=-0.6, e=0.04)
+    field = {"bx": 0.5, "by": 0.0, "bz": np.array([0.0, 0.1, 0.2])}
+    field[name] = np.array([0.1, 0.1, value])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            build_hamiltonians(SpinSystem(10), aniso, **field)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            build_hamiltonians(SpinSystem(10), aniso, **{**field, name: value})
 
 
 def test_spin_matrices_built_once_per_assembly(monkeypatch):
