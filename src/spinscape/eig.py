@@ -90,7 +90,9 @@ def _checked_eigh(
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
     tol = 1e-12 * (1.0 + np.max(np.abs(h), axis=(-2, -1)))
-    defect = np.max(np.abs(h - h.conj().swapaxes(-2, -1)), axis=(-2, -1))
+    skew = h - h.conj().swapaxes(-2, -1)
+    # |.| in place: no second stack-sized array (.real is a view, or skew itself)
+    defect = np.max(np.abs(skew, out=skew).real, axis=(-2, -1))
     if np.any(defect > tol):
         i = np.argmax(defect - tol)
         raise ValueError(

@@ -83,9 +83,10 @@ class ThermoPoint:
 #: eigenvalues in all (one BLAS thread, dimensions 11 to 61: 8 matrices of
 #: dimension 61 or 32 of dimension 11 held the GIL, 12 or 48 released it).
 #: With 24, every full stack of every dimension up to 64 holds at least
-#: 624 eigenvalues. A 1001-point sweep at 2S = 60 (2-vCPU Xeon VM, numpy
-#: 2.4.6, OpenBLAS) took 171 ms on one thread, 202 ms on two with 8
-#: matrices per stack, 100-108 ms with 12 to 24 and 120 ms with 32.
+#: 624 eigenvalues. A 1001-point eigenvalue sweep at 2S = 60 (2-vCPU Xeon
+#: VM, numpy 2.4.6, one OpenBLAS thread, settings interleaved, median of
+#: 15) took 212 ms on one thread, 234 ms on two with 8 matrices per stack
+#: and 130 ms with 12, 16, 24 or 32.
 #:
 #: On one CPU the helper gained no time and added ~2 MB (4%) to peak RSS,
 #: so the floor, which only serves the helper, is off too.

@@ -284,7 +284,12 @@ def _assemble(
 
     The terms are added in the order H lists them, quadratic, field and
     then quartic, so each matrix sees the same additions whatever stack
-    it is in and whenever its terms were built.
+    it is in and whenever its terms were built. The bx and bz terms are
+    added only where Sx or Sz is nonzero, the diagonal and the first
+    off-diagonals, through strided views, so no stack-sized temporary is
+    made. Elsewhere they are exact zeros, and adding +-0.0 leaves a sum
+    that started at +0.0 unchanged (it is never -0.0 in round-to-nearest),
+    so each matrix is the same to the last bit.
     """
     bx, by, bz = np.broadcast_arrays(*(np.asarray(b, dtype=float) for b in (bx, by, bz)))
     mats = terms.mats
@@ -292,8 +297,11 @@ def _assemble(
     real = np.zeros(bx.shape + (dim, dim))
     real += terms.axial
     real += terms.rhombic
-    real += (G_FACTOR * bx)[..., None, None] * mats.sx
-    real += (G_FACTOR * bz)[..., None, None] * mats.sz
+    flat = real.reshape(bx.shape + (dim * dim,))  # a view: real is contiguous
+    gx, gz = (G_FACTOR * bx)[..., None], (G_FACTOR * bz)[..., None]
+    flat[..., 1::dim + 1] += gx * np.diagonal(mats.sx, 1)
+    flat[..., dim::dim + 1] += gx * np.diagonal(mats.sx, -1)
+    flat[..., ::dim + 1] += gz * np.diagonal(mats.sz)
     for term in terms.quartic:
         real += term
 

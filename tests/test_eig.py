@@ -120,28 +120,39 @@ def test_stack_slices_equal_eigh():
 
 def test_stack_rejects_one_bad_slice():
     rng = np.random.default_rng(17)
-    h = np.stack([_random_hermitian(rng, 6) for _ in range(4)])
-    eigh_stack(h)
+    hermitian = np.stack([_random_hermitian(rng, 6) for _ in range(4)])
+    symmetric = np.ascontiguousarray(hermitian.real)  # (a + a^T) / 2: exactly symmetric
+    for h in (hermitian, symmetric):  # the complex and the real check path
+        eigh_stack(h)
 
-    skew = h.copy()
-    skew[2, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigh_stack(skew)
+        skew = h.copy()
+        skew[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh_stack(skew)
 
-    inf = h.copy()
-    inf[3, 4, 4] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        eigh_stack(inf)
+        for value in (np.inf, np.nan):
+            bad = h.copy()
+            bad[3, 4, 4] = value
+            with pytest.raises(ValueError, match="finite"):
+                eigh_stack(bad)
 
-    # the tolerance belongs to each slice: a large neighbour does not
-    # widen it, and a large slice keeps its own wider one
-    big = h.copy()
-    big[0] *= 1e8
-    big[0, 0, 1] += 1e-6
-    eigh_stack(big)
-    big[1, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="not Hermitian"):
+        # the tolerance belongs to each slice: a large neighbour does not
+        # widen it, and a large slice keeps its own wider one
+        big = h.copy()
+        big[0] *= 1e8
+        big[0, 0, 1] += 1e-6
         eigh_stack(big)
+        big[1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh_stack(big)
+
+    # symmetric but not Hermitian: h == h^T, so only the conjugate sees it
+    transposed = hermitian.copy()
+    transposed[1] = symmetric[1]
+    transposed[1, 0, 1] = transposed[1, 1, 0] = symmetric[1, 0, 1] + 0.5j
+    assert np.array_equal(transposed[1], transposed[1].T)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh_stack(transposed)
 
 
 def _per_column_reference(h):

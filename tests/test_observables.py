@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from spinscape import (
     thermo,
 )
 from spinscape import observables
-from spinscape.eig import ConvergenceError, eigh_stack
+from spinscape.eig import ConvergenceError, _checked_eigh, eigh_stack
 from spinscape.observables import spectra
+from spinscape.spin import _assemble, _field_free_terms
 
 
 def test_two_level_schottky_closed_form():
@@ -237,6 +239,36 @@ def test_spectra_grid_with_by_equals_pointwise():
             spec = eigh(build_hamiltonian(c.system, c.aniso, field))
             assert np.array_equal(levels[i, j], spec.eigenvalues)
             assert np.array_equal(ground[i, j], spec.eigenvectors[:, 0])
+
+
+def _peak_bytes(call):
+    """Peak memory traced by tracemalloc while call() runs, above what was
+    allocated before it, the result included."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_a_stack_is_built_and_checked_in_about_one_stack_of_memory():
+    # each 24-matrix stack at 2S = 60 (the stack spectra's threads take)
+    # gets its bx and bz terms at the band only, and |h - h^H| is taken in
+    # place: no second stack-sized temporary in either step
+    system = SpinSystem(60)
+    aniso = AnisotropyParams(d=-0.3, e=0.01, b40=1e-6, b42=5e-7, b43=2e-6, b44=-1e-6)
+    terms = _field_free_terms(system, aniso)
+    bx, by, bz = np.full(24, 0.9), np.zeros(24), np.linspace(-3.0, 3.0, 24)
+    stack = 24 * system.dim**2 * 8
+    h = _assemble(terms, bx, by, bz)
+    assert h.nbytes == stack
+    assert _peak_bytes(lambda: _assemble(terms, bx, by, bz)) <= 1.1 * stack
+    assert _peak_bytes(lambda: _checked_eigh(h, vectors=False)) <= 1.2 * stack
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -189,21 +189,40 @@ def _term_by_term_reference(system, aniso, field, g=2.0):
     return h
 
 
+def _assert_same_bits(h, ref, by):
+    """h equals ref to the bit, signed zeros included. Where by is zero a
+    complex stack adds +-0j, so there the imaginary part need only be zero."""
+    assert np.array_equal(np.real(h).view(np.uint64), np.real(ref).view(np.uint64))
+    if by:
+        assert np.array_equal(np.imag(h).view(np.uint64), np.imag(ref).view(np.uint64))
+    else:
+        assert not np.any(np.imag(h))
+
+
 def test_hamiltonian_stack_equals_single_builds():
     rng = np.random.default_rng(23)
-    for two_s in (1, 10, 19, 60):
+    full = AnisotropyParams(d=-0.6, e=0.04, b40=2e-5, b42=-1e-5, b43=0.01, b44=3e-5)
+    cases = [(two_s, full, rng.normal(size=(4, 1)), rng.normal(size=3)) for two_s in (1, 10, 19, 60)]
+    bz0, bx0 = np.array([[-0.0], [0.0], [0.3], [-1.1]]), np.array([-0.0, 0.0, 0.8])
+    cases += [
+        (2, full, rng.normal(size=(4, 1)), rng.normal(size=3)),
+        (2, full, bz0, bx0),
+        (60, full, bz0, bx0),
+        (10, AnisotropyParams(d=-0.6, e=-0.04), bz0, bx0),  # every b4k zero
+        (60, AnisotropyParams(d=0.0, e=-0.05, b43=0.01), bz0, bx0),  # d = 0; e < 0 puts -0.0 in e (Sx^2 - Sy^2)
+    ]
+    for two_s, aniso, bz, bx in cases:
         sys = SpinSystem(two_s)
-        aniso = AnisotropyParams(d=-0.6, e=0.04, b40=2e-5, b42=-1e-5, b43=0.01, b44=3e-5)
-        bz = rng.normal(size=(4, 1))
-        bx = rng.normal(size=3)
-        by = np.array([0.0, 0.7, 0.0])  # zero and nonzero in one stack
-        h = build_hamiltonians(sys, aniso, bx, by, bz)
-        assert h.shape == (4, 3, sys.dim, sys.dim)
-        for i in range(4):
-            for j in range(3):
-                field = FieldVector(bx=bx[j], by=by[j], bz=bz[i, 0])
-                assert np.array_equal(h[i, j], build_hamiltonian(sys, aniso, field))
-                assert np.array_equal(h[i, j], _term_by_term_reference(sys, aniso, field))
+        # zero and nonzero by in one complex stack; a real stack with -0.0
+        for by in (np.array([0.0, 0.7, 0.0]), np.array([-0.0, 0.0, -0.0])):
+            h = build_hamiltonians(sys, aniso, bx, by, bz)
+            assert h.shape == (4, 3, sys.dim, sys.dim)
+            assert np.iscomplexobj(h) == bool(np.any(by))
+            for i in range(4):
+                for j in range(3):
+                    field = FieldVector(bx=bx[j], by=by[j], bz=bz[i, 0])
+                    _assert_same_bits(h[i, j], build_hamiltonian(sys, aniso, field), field.by)
+                    _assert_same_bits(h[i, j], _term_by_term_reference(sys, aniso, field), field.by)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
